@@ -1,36 +1,29 @@
 //! The flow database at the center of Fig. 2.
 //!
-//! Semantics follow the paper: the Data Processor keeps **one record per
-//! flow** (packet-level fields replaced, flow-level aggregates updated),
-//! and the CentralServer *polls for changes*, skipping brand-new entries
-//! — "it does not consider new entries with new Flow IDs, but focuses on
-//! existing records from their first update" (§III-3).
+//! In the paper the Data Processor keeps **one record per flow** in a
+//! database and the CentralServer *polls it for changes*, skipping
+//! brand-new entries — "it does not consider new entries with new Flow
+//! IDs, but focuses on existing records from their first update"
+//! (§III-3). Here the one-record-per-flow store is the
+//! [`amlight_features::FlowTable`] each processor shard owns, and the
+//! poll is the updates-only forwarding rule inside
+//! [`crate::modules::Processor::ingest`]: an update is handed to
+//! Prediction in the same call that applies it, so nothing is copied
+//! into a second per-flow map or a change log that no module reads
+//! back.
 //!
-//! The store is in-memory behind a `parking_lot::RwLock` so the threaded
-//! runtime can share it; the poll API is a monotone change log so pollers
-//! never miss or double-see an update.
+//! What the shared handle keeps is what the modules really exchange
+//! through it: lock-free tallies of the records the processors wrote
+//! (creations and updates), and the append-only list of stored
+//! [`PredictionRecord`]s behind a `parking_lot::RwLock`.
 
 use amlight_features::FeatureVector;
 use amlight_net::flow::FnvHashMap;
 use amlight_net::FlowKey;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A change-log entry handed to pollers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UpdateEvent {
-    /// Global, monotone change sequence.
-    pub seq: u64,
-    pub key: FlowKey,
-    /// Per-flow update counter (1 = first update after creation).
-    pub update_seq: u64,
-    /// Feature snapshot at the time of the update.
-    pub features: FeatureVector,
-    /// Collector-clock registration time of this update, ns. Prediction
-    /// latency is measured against this stamp (§III-2, item 8).
-    pub registered_ns: u64,
-}
 
 /// A stored model verdict for one flow update.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -51,21 +44,18 @@ pub struct PredictionRecord {
 
 #[derive(Debug, Default)]
 struct DbInner {
-    /// Latest record per flow (the "one record per flow" table).
-    flows: FnvHashMap<FlowKey, UpdateEvent>,
-    /// Change log of *updates only* (created entries are not logged —
-    /// pollers must not see flows before their first update).
-    log: Vec<UpdateEvent>,
+    /// Flow records created / updated by the processor shards. Plain
+    /// tallies that publish no other data, hence `Relaxed`.
+    created: AtomicU64,
+    updated: AtomicU64,
     /// Stored predictions, append-only.
-    predictions: Vec<PredictionRecord>,
-    next_seq: u64,
-    created: u64,
+    predictions: RwLock<Vec<PredictionRecord>>,
 }
 
 /// Shared handle to the database.
 #[derive(Debug, Clone, Default)]
 pub struct FlowDatabase {
-    inner: Arc<RwLock<DbInner>>,
+    inner: Arc<DbInner>,
 }
 
 impl FlowDatabase {
@@ -73,73 +63,41 @@ impl FlowDatabase {
         Self::default()
     }
 
-    /// Record a freshly *created* flow entry. Not added to the change
-    /// log.
-    // amlint: cold -- Fig. 2 DB module: RwLock'd store polled by the central server
-    pub fn record_created(&self, key: FlowKey, features: FeatureVector, registered_ns: u64) {
-        let mut g = self.inner.write();
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        g.created += 1;
-        g.flows.insert(
-            key,
-            UpdateEvent {
-                seq,
-                key,
-                update_seq: 0,
-                features,
-                registered_ns,
-            },
-        );
+    /// Record a freshly *created* flow entry. The record itself lives in
+    /// the caller's flow table; creations are never forwarded (§III-3).
+    #[inline]
+    pub fn record_created(&self, _key: FlowKey, _features: FeatureVector, _registered_ns: u64) {
+        self.inner.created.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record an *update* to an existing flow. Returns the global change
-    /// sequence. Updates are what pollers see.
-    // amlint: cold -- Fig. 2 DB module: RwLock'd store polled by the central server
+    /// Record an *update* to an existing flow — what the CentralServer's
+    /// poll would have seen. Returns the update's position in the global
+    /// update sequence.
+    #[inline]
     pub fn record_updated(
         &self,
-        key: FlowKey,
-        update_seq: u64,
-        features: FeatureVector,
-        registered_ns: u64,
+        _key: FlowKey,
+        _update_seq: u64,
+        _features: FeatureVector,
+        _registered_ns: u64,
     ) -> u64 {
-        let mut g = self.inner.write();
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        let ev = UpdateEvent {
-            seq,
-            key,
-            update_seq,
-            features,
-            registered_ns,
-        };
-        g.flows.insert(key, ev);
-        g.log.push(ev);
-        seq
-    }
-
-    /// Poll all updates with `seq >= since`, returning them and the next
-    /// cursor value. This is the CentralServer's (4).
-    pub fn poll_updates(&self, since: u64) -> (Vec<UpdateEvent>, u64) {
-        let g = self.inner.read();
-        let start = g.log.partition_point(|e| e.seq < since);
-        let events = g.log[start..].to_vec();
-        let next = events.last().map_or(since, |e| e.seq + 1);
-        (events, next)
-    }
-
-    /// Latest record for a flow.
-    pub fn get(&self, key: &FlowKey) -> Option<UpdateEvent> {
-        self.inner.read().flows.get(key).copied()
+        self.inner.updated.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Store an aggregated prediction (§III-2, item 8).
     pub fn store_prediction(&self, rec: PredictionRecord) {
-        self.inner.write().predictions.push(rec);
+        self.inner.predictions.write().push(rec);
+    }
+
+    /// Store a whole voted batch under one lock acquisition, in order.
+    /// `recs` is left empty with its capacity intact, so the caller can
+    /// refill it for the next batch.
+    pub fn store_predictions(&self, recs: &mut Vec<PredictionRecord>) {
+        self.inner.predictions.write().append(recs);
     }
 
     pub fn predictions(&self) -> Vec<PredictionRecord> {
-        self.inner.read().predictions.clone()
+        self.inner.predictions.read().clone()
     }
 
     /// Cursor-based incremental read of stored predictions: everything
@@ -147,13 +105,13 @@ impl FlowDatabase {
     /// use this instead of [`FlowDatabase::predictions`], which clones
     /// the entire append-only history on every call.
     pub fn predictions_since(&self, since: usize) -> (Vec<PredictionRecord>, usize) {
-        let g = self.inner.read();
-        let start = since.min(g.predictions.len());
-        (g.predictions[start..].to_vec(), g.predictions.len())
+        let g = self.inner.predictions.read();
+        let start = since.min(g.len());
+        (g[start..].to_vec(), g.len())
     }
 
     pub fn prediction_count(&self) -> usize {
-        self.inner.read().predictions.len()
+        self.inner.predictions.read().len()
     }
 
     /// Per-flow verdict sequences, in each flow's own prediction order.
@@ -164,9 +122,9 @@ impl FlowDatabase {
     /// is the shard-count-invariant view of a run (used by the
     /// shard-invariance tests and stats tooling).
     pub fn verdict_sequences(&self) -> FnvHashMap<FlowKey, Vec<Option<bool>>> {
-        let g = self.inner.read();
+        let g = self.inner.predictions.read();
         let mut out: FnvHashMap<FlowKey, Vec<Option<bool>>> = FnvHashMap::default();
-        for p in &g.predictions {
+        for p in g.iter() {
             out.entry(p.key).or_default().push(p.label);
         }
         out
@@ -176,31 +134,28 @@ impl FlowDatabase {
     /// A hot-swapped run shows every epoch that actually voted — the
     /// observability half of the epoch publication protocol.
     pub fn epochs_used(&self) -> Vec<u64> {
-        let g = self.inner.read();
-        let mut epochs: Vec<u64> = g.predictions.iter().map(|p| p.epoch).collect();
+        let g = self.inner.predictions.read();
+        let mut epochs: Vec<u64> = g.iter().map(|p| p.epoch).collect();
         epochs.sort_unstable();
         epochs.dedup();
         epochs
     }
 
-    pub fn flow_count(&self) -> usize {
-        self.inner.read().flows.len()
-    }
-
-    pub fn update_count(&self) -> usize {
-        self.inner.read().log.len()
-    }
-
+    /// Flow records created so far, across every processor shard. A flow
+    /// that was evicted and came back counts again; the live ones are in
+    /// the shards' flow tables.
     pub fn created_count(&self) -> u64 {
-        self.inner.read().created
+        self.inner.created.load(Ordering::Relaxed)
     }
 
-    /// Drop change-log entries below `seq` (long-running memory bound;
-    /// safe once every poller's cursor has passed them).
-    pub fn truncate_log_below(&self, seq: u64) {
-        let mut g = self.inner.write();
-        let keep = g.log.partition_point(|e| e.seq < seq);
-        g.log.drain(..keep);
+    /// [`FlowDatabase::created_count`] as a size.
+    pub fn flow_count(&self) -> usize {
+        self.created_count() as usize
+    }
+
+    /// Flow updates recorded so far — everything the forwarding rule saw.
+    pub fn update_count(&self) -> usize {
+        self.inner.updated.load(Ordering::Relaxed) as usize
     }
 }
 
@@ -224,69 +179,36 @@ mod tests {
         FeatureVector::default()
     }
 
-    #[test]
-    fn created_entries_are_invisible_to_pollers() {
-        let db = FlowDatabase::new();
-        db.record_created(key(1), feat(), 100);
-        let (events, next) = db.poll_updates(0);
-        assert!(events.is_empty());
-        assert_eq!(next, 0);
-        assert_eq!(db.flow_count(), 1);
-        assert_eq!(db.created_count(), 1);
+    fn pred(port: u16, label: Option<bool>, epoch: u64, at: u64) -> PredictionRecord {
+        PredictionRecord {
+            key: key(port),
+            label,
+            epoch,
+            predicted_ns: at,
+            latency_ns: at / 2,
+        }
     }
 
     #[test]
-    fn updates_flow_through_poll_exactly_once() {
+    fn creations_and_updates_are_tallied_apart() {
         let db = FlowDatabase::new();
         db.record_created(key(1), feat(), 100);
-        db.record_updated(key(1), 1, feat(), 200);
-        db.record_updated(key(1), 2, feat(), 300);
-
-        let (events, cursor) = db.poll_updates(0);
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].update_seq, 1);
-        assert_eq!(events[1].registered_ns, 300);
-
-        // Nothing new: empty poll, cursor stable.
-        let (again, cursor2) = db.poll_updates(cursor);
-        assert!(again.is_empty());
-        assert_eq!(cursor2, cursor);
-
-        // A later update appears exactly once.
-        db.record_updated(key(1), 3, feat(), 400);
-        let (more, _) = db.poll_updates(cursor);
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].update_seq, 3);
-    }
-
-    #[test]
-    fn get_returns_latest_snapshot() {
-        let db = FlowDatabase::new();
-        db.record_created(key(1), feat(), 100);
-        db.record_updated(key(1), 1, feat(), 250);
-        let rec = db.get(&key(1)).unwrap();
-        assert_eq!(rec.update_seq, 1);
-        assert_eq!(rec.registered_ns, 250);
-        assert!(db.get(&key(9)).is_none());
+        assert_eq!((db.created_count(), db.update_count()), (1, 0));
+        // Updates number themselves in recording order.
+        assert_eq!(db.record_updated(key(1), 1, feat(), 200), 0);
+        assert_eq!(db.record_updated(key(1), 2, feat(), 300), 1);
+        db.record_created(key(2), feat(), 400);
+        assert_eq!(db.created_count(), 2);
+        assert_eq!(db.flow_count(), 2);
+        assert_eq!(db.update_count(), 2);
+        assert_eq!(db.prediction_count(), 0, "records are not verdicts");
     }
 
     #[test]
     fn predictions_accumulate() {
         let db = FlowDatabase::new();
-        db.store_prediction(PredictionRecord {
-            key: key(1),
-            label: Some(true),
-            epoch: 0,
-            predicted_ns: 900,
-            latency_ns: 700,
-        });
-        db.store_prediction(PredictionRecord {
-            key: key(1),
-            label: None,
-            epoch: 1,
-            predicted_ns: 950,
-            latency_ns: 750,
-        });
+        db.store_prediction(pred(1, Some(true), 0, 900));
+        db.store_prediction(pred(1, None, 1, 950));
         let preds = db.predictions();
         assert_eq!(preds.len(), 2);
         assert_eq!(preds[0].label, Some(true));
@@ -295,16 +217,26 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_store_appends_in_order_and_hands_the_buffer_back() {
+        let db = FlowDatabase::new();
+        db.store_prediction(pred(1, None, 0, 10));
+        let mut batch = vec![pred(2, Some(true), 0, 20), pred(3, Some(false), 0, 30)];
+        let capacity = batch.capacity();
+        db.store_predictions(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(batch.capacity(), capacity);
+        let ports: Vec<u16> = db.predictions().iter().map(|p| p.key.src_port).collect();
+        assert_eq!(ports, vec![1, 2, 3]);
+        // An empty batch stores nothing.
+        db.store_predictions(&mut batch);
+        assert_eq!(db.prediction_count(), 3);
+    }
+
+    #[test]
     fn predictions_since_is_exactly_once() {
         let db = FlowDatabase::new();
         for i in 0..5u64 {
-            db.store_prediction(PredictionRecord {
-                key: key(1),
-                label: Some(i % 2 == 0),
-                epoch: 0,
-                predicted_ns: i * 100,
-                latency_ns: i,
-            });
+            db.store_prediction(pred(1, Some(i % 2 == 0), 0, i * 100));
         }
         let (first, cursor) = db.predictions_since(0);
         assert_eq!(first.len(), 5);
@@ -315,13 +247,7 @@ mod tests {
         assert_eq!(cursor2, cursor);
         // New records appear exactly once; stale cursors past the end
         // are clamped.
-        db.store_prediction(PredictionRecord {
-            key: key(2),
-            label: None,
-            epoch: 0,
-            predicted_ns: 900,
-            latency_ns: 9,
-        });
+        db.store_prediction(pred(2, None, 0, 900));
         let (more, cursor3) = db.predictions_since(cursor);
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].key, key(2));
@@ -334,13 +260,7 @@ mod tests {
     fn verdict_sequences_group_per_flow_in_order() {
         let db = FlowDatabase::new();
         for (port, label) in [(1, Some(true)), (2, None), (1, Some(false)), (1, None)] {
-            db.store_prediction(PredictionRecord {
-                key: key(port),
-                label,
-                epoch: 0,
-                predicted_ns: 0,
-                latency_ns: 0,
-            });
+            db.store_prediction(pred(port, label, 0, 0));
         }
         let seqs = db.verdict_sequences();
         assert_eq!(seqs.len(), 2);
@@ -349,28 +269,15 @@ mod tests {
     }
 
     #[test]
-    fn log_truncation_respects_cursors() {
-        let db = FlowDatabase::new();
-        db.record_created(key(1), feat(), 0);
-        for i in 1..=5 {
-            db.record_updated(key(1), i, feat(), i * 100);
-        }
-        let (all, cursor) = db.poll_updates(0);
-        assert_eq!(all.len(), 5);
-        db.truncate_log_below(cursor);
-        assert_eq!(db.update_count(), 0);
-        let (after, _) = db.poll_updates(cursor);
-        assert!(after.is_empty());
-    }
-
-    #[test]
     fn shared_handles_see_same_state() {
         let db = FlowDatabase::new();
         let db2 = db.clone();
         db.record_created(key(3), feat(), 1);
         db.record_updated(key(3), 1, feat(), 2);
-        assert_eq!(db2.flow_count(), 1);
-        assert_eq!(db2.poll_updates(0).0.len(), 1);
+        db.store_prediction(pred(3, None, 0, 3));
+        assert_eq!(db2.created_count(), 1);
+        assert_eq!(db2.update_count(), 1);
+        assert_eq!(db2.prediction_count(), 1);
     }
 
     #[test]
@@ -381,21 +288,19 @@ mod tests {
             .map(|t| {
                 let db = db.clone();
                 std::thread::spawn(move || {
-                    for i in 0..250u64 {
-                        db.record_updated(key(0), t * 1000 + i, feat(), i);
-                    }
+                    (0..250u64)
+                        .map(|i| db.record_updated(key(0), t * 1000 + i, feat(), i))
+                        .collect::<Vec<u64>>()
                 })
             })
             .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+        let mut seqs: Vec<u64> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
         assert_eq!(db.update_count(), 1000);
-        let (events, _) = db.poll_updates(0);
-        assert_eq!(events.len(), 1000);
-        // Sequences strictly increasing.
-        for w in events.windows(2) {
-            assert!(w[1].seq > w[0].seq);
-        }
+        // Every writer got a distinct position: 0..1000 exactly once.
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..1000).collect::<Vec<u64>>());
     }
 }

@@ -54,7 +54,7 @@ pub mod verdict;
 
 pub use amlight_ml::{BundleMeta, MetaError, BUNDLE_SCHEMA_VERSION};
 pub use batch::{BatchDetector, BatchOutcome};
-pub use db::{FlowDatabase, PredictionRecord, UpdateEvent};
+pub use db::{FlowDatabase, PredictionRecord};
 pub use drift::{DriftConfig, DriftDetector};
 pub use epoch::{EpochHandle, PublishError, VersionedBundle};
 pub use event::{
@@ -69,8 +69,8 @@ pub use modules::{
 pub use pipeline::{DetectionPipeline, PipelineConfig, PipelineReport};
 pub use runtime::{AdaptConfig, AdaptStats, RunHandle, RuntimeError, ThreadedPipeline};
 pub use source::{
-    ChannelSource, CollectorSource, EventReplaySource, EventSource, IterSource, PintReplaySource,
-    ReplaySource, SflowAgentSource, SflowReplaySource, SocketSource, SourcePoll,
+    BatchPoll, ChannelSource, CollectorSource, EventReplaySource, EventSource, IterSource,
+    PintReplaySource, ReplaySource, SflowAgentSource, SflowReplaySource, SocketSource, SourcePoll,
 };
 pub use testbed::{Testbed, TestbedConfig};
 pub use trainer::{train_bundle, ModelBundle, TrainerConfig, VoteScratch};

@@ -8,10 +8,10 @@
 //! single source of truth for the module semantics:
 //!
 //! * [`Processor`] — Fig. 2's *Data Processor* ingest half plus the
-//!   *CentralServer*'s update-forwarding rule: flow-table update, one
-//!   record per flow in the [`FlowDatabase`], and feature-row projection
-//!   for **updated** flows only (brand-new flows are never forwarded to
-//!   Prediction, §III-3).
+//!   *CentralServer*'s update-forwarding rule: flow-table update (the
+//!   one record per flow), a tally in the [`FlowDatabase`], and
+//!   feature-row projection for **updated** flows only (brand-new flows
+//!   are never forwarded to Prediction, §III-3).
 //! * [`Predictor`] — Fig. 2's *Prediction* module: pre-fitted scaler +
 //!   pre-trained ensemble, one columnar [`ModelBundle::votes_batch`]
 //!   call per micro-batch.
@@ -207,10 +207,11 @@ impl<C: Clock> Processor<C> {
     /// Ingest one telemetry event — INT report, sFlow sample, or the
     /// unified [`crate::event::TelemetryEvent`]: lower it to the
     /// normalized [`amlight_features::FlowUpdate`] ([`Telemetry::flow_update`]),
-    /// apply it to the flow table, write the database record, grade the
-    /// update through the optional triage stage, and — for updates that
-    /// survive gating — append the projected feature row to `rows` and
-    /// return the judged update (tagged with its prediction lane).
+    /// apply it to the flow table, tally the record in the database,
+    /// grade the update through the optional triage stage, and — for
+    /// updates that survive gating — append the projected feature row to
+    /// `rows` and return the judged update (tagged with its prediction
+    /// lane).
     /// This is the one place the created-vs-updated forwarding decision
     /// lives, and it is identical for every telemetry backend.
     // amlint: hot
@@ -355,6 +356,8 @@ pub struct Aggregator {
     counts: VerdictCounts,
     latency_sum_us: f64,
     latency_max_us: f64,
+    /// Records folded by [`Aggregator::stage`] and not yet stored.
+    staged: Vec<PredictionRecord>,
 }
 
 impl Aggregator {
@@ -366,14 +369,18 @@ impl Aggregator {
             counts: VerdictCounts::default(),
             latency_sum_us: 0.0,
             latency_max_us: 0.0,
+            staged: Vec::new(),
         }
     }
 
-    /// Fold one ensemble decision into the flow's smoothing window,
-    /// store the [`PredictionRecord`] (with `predicted_ns`, the latency
-    /// against `registered_ns`, and the model `epoch` that voted), and
-    /// return the smoothed verdict.
-    pub fn aggregate(
+    /// Fold one ensemble decision into the flow's smoothing window and
+    /// stage its [`PredictionRecord`] (with `predicted_ns`, the latency
+    /// against `registered_ns`, and the model `epoch` that voted);
+    /// returns the smoothed verdict. The record reaches the database at
+    /// the next [`Aggregator::commit`] — drivers stage a voted batch and
+    /// commit once, so the store lock is taken per batch, not per
+    /// verdict.
+    pub fn stage(
         &mut self,
         key: FlowKey,
         attack: bool,
@@ -391,13 +398,33 @@ impl Aggregator {
         let lat_us = latency_ns as f64 / 1e3;
         self.latency_sum_us += lat_us;
         self.latency_max_us = self.latency_max_us.max(lat_us);
-        self.db.store_prediction(PredictionRecord {
+        self.staged.push(PredictionRecord {
             key,
             label: verdict.label(),
             epoch,
             predicted_ns,
             latency_ns,
         });
+        verdict
+    }
+
+    /// Store everything staged since the last commit, in staging order,
+    /// under one lock acquisition.
+    pub fn commit(&mut self) {
+        self.db.store_predictions(&mut self.staged);
+    }
+
+    /// [`Aggregator::stage`] one decision and [`Aggregator::commit`] it.
+    pub fn aggregate(
+        &mut self,
+        key: FlowKey,
+        attack: bool,
+        registered_ns: u64,
+        predicted_ns: u64,
+        epoch: u64,
+    ) -> Verdict {
+        let verdict = self.stage(key, attack, registered_ns, predicted_ns, epoch);
+        self.commit();
         verdict
     }
 
@@ -642,5 +669,22 @@ mod tests {
         assert_eq!(preds[2].epoch, 1, "verdicts carry the voting epoch");
         assert_eq!(db.epochs_used(), vec![0, 1]);
         assert!(agg.max_latency_us() >= agg.mean_latency_us());
+    }
+
+    #[test]
+    fn staged_verdicts_reach_the_database_at_commit_in_order() {
+        let db = FlowDatabase::new();
+        let mut agg = Aggregator::new(db.clone(), 1);
+        let (a, b) = (report(7, 0).flow, report(8, 0).flow);
+        assert_eq!(agg.stage(a, true, 100, 400, 0), Verdict::Attack);
+        assert_eq!(agg.stage(b, false, 200, 400, 0), Verdict::Normal);
+        assert_eq!(agg.counts().predictions, 2, "tallies move at stage time");
+        assert_eq!(db.prediction_count(), 0, "nothing stored before commit");
+        agg.commit();
+        let keys: Vec<FlowKey> = db.predictions().iter().map(|p| p.key).collect();
+        assert_eq!(keys, vec![a, b]);
+        // A second commit stores nothing twice.
+        agg.commit();
+        assert_eq!(db.prediction_count(), 2);
     }
 }

@@ -331,7 +331,7 @@ impl DetectionPipeline {
                 server_free_ns = predicted_ns;
 
                 // (6)→(7)→(8): smoothed verdict + stored latency stamp.
-                let verdict = aggregator.aggregate(
+                let verdict = aggregator.stage(
                     judged.key,
                     ensemble,
                     judged.registered_ns,
@@ -348,6 +348,7 @@ impl DetectionPipeline {
                 });
                 index += 1;
             }
+            aggregator.commit();
         }
 
         PipelineReport {

@@ -9,23 +9,31 @@
 //! * **collection** drains a streaming [`EventSource`] (iterator,
 //!   channel, capture replay, raw INT byte stream, or a live sFlow
 //!   sampling agent — both telemetry backends speak
-//!   [`crate::event::LabeledEvent`]) and fans events out to the
-//!   processor shards, routed by
+//!   [`crate::event::LabeledEvent`]) a batch at a time and fans events
+//!   out to the processor shards, routed by
 //!   [`amlight_features::sharded::ShardRouter`] over the event's
 //!   5-tuple, which both backends carry — so a given flow always lands
 //!   on the same shard no matter which telemetry system observed it;
 //! * **processor shards** (N threads) each own a private
-//!   [`Processor`] — flow table + database writes + the CentralServer's
+//!   [`Processor`] — flow table + database tallies + the CentralServer's
 //!   updates-only forwarding rule, with the backend-specific table
-//!   update behind [`crate::event::Telemetry`] dispatch — and
-//!   micro-batch judged updates ([`MAX_JOB_BATCH`] per channel message)
-//!   toward prediction;
+//!   update behind [`crate::event::Telemetry`] dispatch — and hand the
+//!   judged updates of each event batch toward prediction;
 //! * **prediction** (one thread) fans the shard batches back in and runs
 //!   one columnar ensemble pass per batch via the shared [`Predictor`];
 //! * **aggregation** (one thread) folds votes into per-flow smoothing
 //!   windows with the shared [`Aggregator`], stamping every stored
 //!   [`PredictionRecord`] with a real wall-clock `predicted_ns` (no more
-//!   placeholder zeros) and the measured prediction latency.
+//!   placeholder zeros) and the measured prediction latency, and stores
+//!   each voted batch under one database lock.
+//!
+//! The batch is the unit of work on every hop: one channel message
+//! carries up to [`MAX_JOB_BATCH`] events or judged updates, a partial
+//! batch leaves as soon as its producer has nothing more on hand (so a
+//! trickling live source is never held back to fill one), and the
+//! buffers travel back to their producers for reuse. Between wire bytes
+//! and stored verdict no event takes a lock, a channel message or a heap
+//! allocation of its own.
 //!
 //! Every stage stamps time with one shared [`WallClock`] epoch, so
 //! registration and prediction stamps are directly comparable.
@@ -42,7 +50,7 @@ use crate::drift::{DriftConfig, DriftDetector};
 use crate::epoch::EpochHandle;
 use crate::event::{LabeledEvent, Telemetry};
 use crate::modules::{Clock, Ingest, LaneCounts, Predictor, Processor, WallClock};
-use crate::source::{EventSource, IterSource, SourcePoll};
+use crate::source::{BatchPoll, EventSource, IterSource};
 use crate::trainer::{train_bundle, ModelBundle, TrainerConfig};
 use crate::verdict::{RecallCounts, VerdictCounts};
 use amlight_features::sharded::ShardRouter;
@@ -59,23 +67,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Most flow updates a single channel message may carry.
+/// Most events (collection → shard) or flow updates (shard → prediction)
+/// a single channel message may carry.
 const MAX_JOB_BATCH: usize = 256;
-
-/// Bounded depth (in batches) of the low-priority deferred lane. Kept
-/// deliberately shallow: the lane is a parking lot for "evaluate when
-/// idle" work, and overflow under sustained load is explicit shed —
-/// exactly the load-shedding the pre-filter exists to provide.
-const DEFER_DEPTH: usize = 8;
 
 /// How long the prediction thread blocks on the main lane before
 /// re-checking the deferred lane (priority-drain loop, prefilter on).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// How many recycled [`BatchJob`] shells (per shard) and prediction
-/// scratch vectors the pool channels hold. Deep enough to cover the
-/// batches in flight across the job and vote channels under normal
-/// pacing; when the pool momentarily runs dry a fresh buffer is
+/// How many recycled event buffers, [`BatchJob`] shells (per shard) and
+/// prediction scratch vectors the pool channels hold. Deep enough to
+/// cover the batches in flight across the job and vote channels under
+/// normal pacing; when the pool momentarily runs dry a fresh buffer is
 /// allocated, and when it is full a returning buffer is simply dropped —
 /// both paths are non-blocking, so recycling can never deadlock the
 /// pipeline.
@@ -399,7 +402,7 @@ impl ThreadedPipeline {
 
     /// Spawn the module threads over a streaming source and return the
     /// lifecycle handle. The run ends when the source reports
-    /// [`SourcePoll::End`] (e.g. every channel sender dropped) or
+    /// [`BatchPoll::End`] (e.g. every channel sender dropped) or
     /// [`RunHandle::stop`] is called.
     pub fn start<S: EventSource + 'static>(&self, source: S) -> RunHandle {
         let router = ShardRouter::new(self.shards);
@@ -412,15 +415,24 @@ impl ThreadedPipeline {
         let mut shard_txs = Vec::with_capacity(n_shards);
         let mut shard_rxs = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let (tx, rx) = bounded::<LabeledEvent>(self.channel_capacity);
+            // The hop's capacity stays counted in events: a full channel
+            // parks `channel_capacity` reports, however they are batched.
+            let (tx, rx) =
+                bounded::<Vec<LabeledEvent>>((self.channel_capacity / MAX_JOB_BATCH).max(1));
             shard_txs.push(tx);
             shard_rxs.push(rx);
         }
         let (job_tx, job_rx) = bounded::<BatchJob>(self.channel_capacity);
         // The low-priority lane: deferred batches park here until the
-        // prediction thread finds the main lane idle. Deliberately
-        // shallow — overflow is explicit, counted shed.
-        let (defer_tx, defer_rx) = bounded::<BatchJob>(DEFER_DEPTH);
+        // prediction thread finds the main lane idle. As deep as every
+        // other hop: a processor that outruns the predictor through a
+        // capture's dense minutes parks that stretch's deferred work
+        // here and the predictor catches up in the sparse ones. Measured
+        // on bench_e2e's `day_triage`, a lane of 8 batches shed 21 k of
+        // 33 k deferred updates per lap and one of 32 still 12–15 k;
+        // this depth shed none, for about 2 MiB. Overflow is still
+        // explicit, counted shed, never backpressure.
+        let (defer_tx, defer_rx) = bounded::<BatchJob>(self.channel_capacity);
         let (vote_tx, vote_rx) = bounded::<BatchVoted>(self.channel_capacity);
 
         // Optional adaptation stage: a bounded sample channel from the
@@ -484,11 +496,13 @@ impl ThreadedPipeline {
             None => (None, None),
         };
 
-        // Buffer-recycling pools: aggregation returns drained BatchJob
-        // shells to their owning shard, and drained vote vectors to
-        // prediction. Strictly non-blocking on both ends (try_recv to
-        // acquire, try_send to return) so the pools can only ever save
+        // Buffer-recycling pools: shards return drained event buffers to
+        // collection, aggregation returns drained BatchJob shells to
+        // their owning shard and drained vote vectors to prediction.
+        // Strictly non-blocking on both ends (try_recv to acquire,
+        // try_send to return) so the pools can only ever save
         // allocations, never stall the pipeline.
+        let (events_pool_tx, events_pool_rx) = bounded::<Vec<LabeledEvent>>(POOL_DEPTH);
         let mut pool_txs = Vec::with_capacity(n_shards);
         let mut pool_rxs = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
@@ -499,47 +513,80 @@ impl ThreadedPipeline {
         let (scratch_tx, scratch_rx) = bounded::<Vec<bool>>(POOL_DEPTH);
 
         // Module 1: Data Collection — drains the source (either
-        // telemetry backend) and fans events out by flow hash; both
-        // event kinds carry the 5-tuple, so routing is backend-blind.
-        // Exiting drops every shard sender, which cascades shutdown
-        // through the whole pipeline.
+        // telemetry backend) a batch at a time and fans events out by
+        // flow hash into one outgoing buffer per shard; both event kinds
+        // carry the 5-tuple, so routing is backend-blind. A buffer
+        // leaves when it is full, and every partial one whenever the
+        // source has nothing more on hand. Exiting drops every shard
+        // sender, which cascades shutdown through the whole pipeline.
         let collection: JoinHandle<u64> = {
             let stop = Arc::clone(&stop);
             let in_flight = Arc::clone(&in_flight);
             std::thread::spawn(move || {
                 let mut source = source;
                 let mut events_in = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    match source.poll_event() {
-                        SourcePoll::Event(event) => {
-                            // Unbox at the fan-out: the shard channels
-                            // move owned events, and the Box has done
-                            // its job (one pointer-sized poll result
-                            // instead of a ~200-byte enum copy).
-                            let event = *event;
-                            let shard = router.route(event.event.flow());
-                            in_flight.fetch_add(1, Ordering::AcqRel);
-                            if shard_txs[shard].send(event).is_err() {
-                                in_flight.fetch_sub(1, Ordering::AcqRel);
+                let mut polled: Vec<LabeledEvent> = Vec::with_capacity(MAX_JOB_BATCH);
+                let mut outbox: Vec<Vec<LabeledEvent>> = (0..n_shards)
+                    .map(|_| Vec::with_capacity(MAX_JOB_BATCH))
+                    .collect();
+                // Send shard `i`'s buffer and put a recycled one in its
+                // place; false once the shard is gone.
+                let dispatch = |outbox: &mut [Vec<LabeledEvent>], i: usize| {
+                    let fresh = events_pool_rx
+                        .try_recv()
+                        .unwrap_or_else(|_| Vec::with_capacity(MAX_JOB_BATCH));
+                    let full = std::mem::replace(&mut outbox[i], fresh);
+                    let n = full.len();
+                    let sent = shard_txs[i].send(full).is_ok();
+                    if !sent {
+                        in_flight.fetch_sub(n, Ordering::AcqRel);
+                    }
+                    sent
+                };
+                let flush = |outbox: &mut [Vec<LabeledEvent>]| {
+                    (0..n_shards).all(|i| outbox[i].is_empty() || dispatch(outbox, i))
+                };
+                'poll: while !stop.load(Ordering::Acquire) {
+                    let poll = source.poll_batch(&mut polled, MAX_JOB_BATCH);
+                    // In flight from the moment it is polled: drain()
+                    // must also wait for an event parked in a partial
+                    // buffer here.
+                    in_flight.fetch_add(polled.len(), Ordering::AcqRel);
+                    events_in += polled.len() as u64;
+                    for event in polled.drain(..) {
+                        let shard = router.route(event.event.flow());
+                        outbox[shard].push(event);
+                        if outbox[shard].len() >= MAX_JOB_BATCH && !dispatch(&mut outbox, shard) {
+                            break 'poll;
+                        }
+                    }
+                    match poll {
+                        BatchPoll::More => {}
+                        BatchPoll::Idle => {
+                            if !flush(&mut outbox) {
                                 break;
                             }
-                            events_in += 1;
+                            // Blocking sources already waited briefly
+                            // before reporting Idle; just re-check the
+                            // stop flag.
+                            std::thread::yield_now();
                         }
-                        // Blocking sources already waited briefly before
-                        // reporting Idle; just re-check the stop flag.
-                        SourcePoll::Idle => std::thread::yield_now(),
-                        SourcePoll::End => break,
+                        BatchPoll::End => break,
                     }
                 }
+                // End of stream or stop(): what was polled still flows
+                // through to the database.
+                flush(&mut outbox);
                 events_in
             })
         };
 
         // Module 2a: Data Processor shards — per-shard flow table + DB
-        // writes + the CentralServer's updates-only forwarding, via the
-        // shared Processor stage. Batches flush when full *or* when the
-        // shard channel goes momentarily idle, so a trickling live
-        // source still sees its updates predicted promptly.
+        // tallies + the CentralServer's updates-only forwarding, via the
+        // shared Processor stage. One event batch in, its judged updates
+        // out: collection already flushes partial batches when the
+        // source idles, so a trickling live source still sees its
+        // updates predicted promptly.
         let prefilter = self.prefilter;
         let triage_cfg = self.triage;
         let processors: Vec<JoinHandle<ShardStats>> = shard_rxs
@@ -551,60 +598,43 @@ impl ThreadedPipeline {
                 let table = self.table;
                 let job_tx = job_tx.clone();
                 let defer_tx = defer_tx.clone();
+                let events_pool_tx = events_pool_tx.clone();
                 let in_flight = Arc::clone(&in_flight);
                 std::thread::spawn(move || {
                     let mut processor = Processor::new(table, db, clock, feature_set)
                         .with_prefilter(prefilter, triage_cfg);
+                    // Both are empty again at the end of every turn.
                     let mut batch = BatchJob::empty(shard_idx);
                     let mut defer = BatchJob::empty(shard_idx);
                     let mut shed = 0u64;
-                    'work: loop {
-                        let Ok(event) = shard_rx.recv() else {
-                            break 'work;
-                        };
-                        ingest_event(
-                            &mut processor,
-                            &event,
-                            &mut batch,
-                            &mut defer,
-                            dim,
-                            &in_flight,
-                        );
-                        while batch.items.len() < MAX_JOB_BATCH && defer.items.len() < MAX_JOB_BATCH
-                        {
-                            match shard_rx.try_recv() {
-                                Ok(event) => {
-                                    ingest_event(
-                                        &mut processor,
-                                        &event,
-                                        &mut batch,
-                                        &mut defer,
-                                        dim,
-                                        &in_flight,
-                                    );
-                                }
-                                Err(TryRecvError::Empty) => break,
-                                Err(TryRecvError::Disconnected) => break,
-                            }
+                    for mut events in shard_rx.iter() {
+                        for event in &events {
+                            ingest_event(&mut processor, event, &mut batch, &mut defer, dim);
                         }
+                        // Created flows retire from the in-flight count
+                        // here (they never reach aggregation, §III-3),
+                        // and so do triage-dropped updates (no verdict
+                        // will ever be stored for them); judged ones
+                        // retire after their verdict is stored.
+                        let judged = batch.items.len() + defer.items.len();
+                        in_flight.fetch_sub(events.len() - judged, Ordering::AcqRel);
+                        events.clear();
+                        let _ = events_pool_tx.try_send(events);
+                        // Prefer a recycled shell (cleared by the
+                        // aggregator) over a fresh allocation.
+                        let shell = || {
+                            pool_rx
+                                .try_recv()
+                                .unwrap_or_else(|_| BatchJob::empty(shard_idx))
+                        };
                         if !batch.items.is_empty() {
-                            // Prefer a recycled shell (cleared by the
-                            // aggregator) over a fresh allocation.
-                            let shell = match pool_rx.try_recv() {
-                                Ok(recycled) => recycled,
-                                Err(_) => BatchJob::empty(shard_idx),
-                            };
-                            let full = std::mem::replace(&mut batch, shell);
+                            let full = std::mem::replace(&mut batch, shell());
                             if job_tx.send(full).is_err() {
-                                break 'work;
+                                break;
                             }
                         }
                         if !defer.items.is_empty() {
-                            let shell = match pool_rx.try_recv() {
-                                Ok(recycled) => recycled,
-                                Err(_) => BatchJob::empty(shard_idx),
-                            };
-                            let full = std::mem::replace(&mut defer, shell);
+                            let full = std::mem::replace(&mut defer, shell());
                             // Strictly non-blocking: a saturated deferred
                             // lane sheds, it never backpressures ingest —
                             // that is the lane's whole contract.
@@ -620,16 +650,6 @@ impl ThreadedPipeline {
                                 rejected.rows.clear();
                                 defer = rejected;
                             }
-                        }
-                    }
-                    if !batch.items.is_empty() {
-                        let _ = job_tx.send(batch);
-                    }
-                    if !defer.items.is_empty() {
-                        let n = defer.items.len();
-                        if defer_tx.try_send(defer).is_err() {
-                            shed += n as u64;
-                            in_flight.fetch_sub(n, Ordering::AcqRel);
                         }
                     }
                     ShardStats {
@@ -727,17 +747,21 @@ impl ThreadedPipeline {
                 let mut samples_fed = 0u64;
                 let mut samples_shed = 0u64;
                 for batch in vote_rx.iter() {
+                    let predicted_ns = clock.now_ns();
                     for (&(key, registered_ns, truth), &attack) in
                         batch.job.items.iter().zip(&batch.attacks)
                     {
-                        let predicted_ns = clock.now_ns();
                         let verdict =
-                            agg.aggregate(key, attack, registered_ns, predicted_ns, batch.epoch);
+                            agg.stage(key, attack, registered_ns, predicted_ns, batch.epoch);
                         if let Some(class) = truth {
                             labeled.observe(class.label(), verdict);
                         }
-                        in_flight.fetch_sub(1, Ordering::AcqRel);
                     }
+                    // Stored first, retired second: drain() promises the
+                    // verdicts are in the database once nothing is in
+                    // flight.
+                    agg.commit();
+                    in_flight.fetch_sub(batch.job.items.len(), Ordering::AcqRel);
                     // Feed the shadow trainer: the aggregator is the one
                     // stage that sees feature rows and ground truth side
                     // by side. Strictly non-blocking (try_send) — a busy
@@ -846,11 +870,8 @@ fn feed_trainer(
 }
 
 /// One telemetry event (either backend) through the shared Processor
-/// stage, batching judged updates into their triage lane. Created flows
-/// retire from the in-flight count here (they never reach aggregation,
-/// §III-3), and so do triage-dropped updates (no verdict will ever be
-/// stored for them); judged ones retire after their verdict is stored.
-/// A deferred update's feature row migrates from the main batch (where
+/// stage, batching judged updates into their triage lane. A deferred
+/// update's feature row migrates from the main batch (where
 /// `Processor::ingest` appended it) into the defer batch, keeping the
 /// two row buffers parallel to their item lists. The event's ground
 /// truth, if any, rides along with the judged item so aggregation can
@@ -862,28 +883,22 @@ fn ingest_event<C: Clock>(
     batch: &mut BatchJob,
     defer: &mut BatchJob,
     dim: usize,
-    in_flight: &AtomicUsize,
 ) {
-    match processor.ingest(&event.event, &mut batch.rows) {
-        Ingest::Created { .. } | Ingest::Dropped { .. } => {
-            in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
-        Ingest::Judged(judged) => {
-            if judged.lane == TriageVerdict::Defer {
-                let split = batch.rows.len() - dim;
+    if let Ingest::Judged(judged) = processor.ingest(&event.event, &mut batch.rows) {
+        if judged.lane == TriageVerdict::Defer {
+            let split = batch.rows.len() - dim;
+            // amlint: cold -- pooled BatchJob buffer, reused across batches
+            defer.rows.extend_from_slice(&batch.rows[split..]);
+            batch.rows.truncate(split);
+            defer
+                .items
                 // amlint: cold -- pooled BatchJob buffer, reused across batches
-                defer.rows.extend_from_slice(&batch.rows[split..]);
-                batch.rows.truncate(split);
-                defer
-                    .items
-                    // amlint: cold -- pooled BatchJob buffer, reused across batches
-                    .push((judged.key, judged.registered_ns, event.truth));
-            } else {
-                batch
-                    .items
-                    // amlint: cold -- pooled BatchJob buffer, reused across batches
-                    .push((judged.key, judged.registered_ns, event.truth));
-            }
+                .push((judged.key, judged.registered_ns, event.truth));
+        } else {
+            batch
+                .items
+                // amlint: cold -- pooled BatchJob buffer, reused across batches
+                .push((judged.key, judged.registered_ns, event.truth));
         }
     }
 }
@@ -1422,6 +1437,126 @@ mod tests {
         assert_eq!(t.forwarded, stats.predictions);
         assert!(t.would.drop > 0, "the scorer still reports would-be drops");
         assert_eq!(t.would.scored, n - 8);
+    }
+
+    /// Events the database can account for: creations plus stored
+    /// verdicts.
+    fn accounted(pipe: &ThreadedPipeline) -> u64 {
+        let db = pipe.database();
+        db.created_count() + db.prediction_count() as u64
+    }
+
+    #[test]
+    fn drain_waits_for_a_partial_batch_on_an_open_source() {
+        let pipe = ThreadedPipeline::new(bundle());
+        let (tx, source) = ChannelSource::bounded(8);
+        let handle = pipe.start(source);
+        // Three events of one flow — nowhere near a full batch — and the
+        // sender stays open, so only the idle flush can move them.
+        for i in 0..3 {
+            tx.send(report(1000, i * 1_000_000, 800, 0).into())
+                .expect("pipeline is live");
+        }
+        handle.drain();
+        assert_eq!(pipe.database().created_count(), 1);
+        assert_eq!(pipe.database().prediction_count(), 2);
+        drop(tx);
+        let stats = handle.join().expect("no module panicked");
+        assert_eq!(stats.events_in, 3);
+    }
+
+    /// Hands over three events as a full batch (`More`, so collection
+    /// parks them unflushed), then blocks in its next poll until released.
+    struct GatedSource {
+        events: Vec<LabeledEvent>,
+        parked: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl EventSource for GatedSource {
+        fn poll_event(&mut self) -> crate::source::SourcePoll {
+            unreachable!("the runtime polls batches")
+        }
+
+        fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, _max: usize) -> BatchPoll {
+            if self.events.is_empty() {
+                let _ = self.parked.send(());
+                let _ = self.release.recv();
+                return BatchPoll::End;
+            }
+            out.append(&mut self.events);
+            BatchPoll::More
+        }
+    }
+
+    #[test]
+    fn drain_counts_events_parked_in_collection_as_in_flight() {
+        let pipe = ThreadedPipeline::new(bundle());
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        let handle = pipe.start(GatedSource {
+            events: (0..3)
+                .map(|i| report(1000, i * 1_000_000, 800, 0).into())
+                .collect(),
+            parked: parked_tx,
+            release: release_rx,
+        });
+        parked_rx.recv().expect("source reached its second poll");
+        // The three events now sit in collection's partial buffer and
+        // nothing will flush them until the source is released, so a
+        // correct drain() cannot return before that. The pause only
+        // gives a wrong one time to.
+        let accounted_after_drain = std::thread::scope(|scope| {
+            let drained = scope.spawn(|| {
+                handle.drain();
+                accounted(&pipe)
+            });
+            std::thread::sleep(DRAIN_POLL * 4 * DRAIN_STABLE_POLLS);
+            release_tx.send(()).expect("source is waiting");
+            drained.join().expect("drain returned")
+        });
+        assert_eq!(accounted_after_drain, 3);
+        handle.join().expect("no module panicked");
+    }
+
+    #[test]
+    fn a_trickling_source_gets_each_verdict_without_filling_a_batch() {
+        let pipe = ThreadedPipeline::new(bundle()).with_shards(2);
+        let (tx, source) = ChannelSource::bounded(8);
+        let handle = pipe.start(source);
+        for i in 0..6u64 {
+            tx.send(report(1000 + (i % 2) as u16, i * 1_000_000, 800, 0).into())
+                .expect("pipeline is live");
+            // drain() is the only synchronisation: it returns once this
+            // one event's creation or verdict is in the database.
+            handle.drain();
+            assert_eq!(accounted(&pipe), i + 1, "event {i} waited for company");
+        }
+        drop(tx);
+        let stats = handle.join().expect("no module panicked");
+        assert_eq!(stats.flows_created + stats.predictions, 6);
+    }
+
+    #[test]
+    fn full_speed_prefilter_replay_evaluates_every_deferred_update() {
+        let labeled = capture(400);
+        let pipe = ThreadedPipeline::new(bundle())
+            .with_prefilter(PrefilterMode::On)
+            .with_triage_config(quiet_triage());
+        let stats = pipe
+            .start(crate::source::ReplaySource::from_labeled(&labeled))
+            .join()
+            .expect("no module panicked");
+        let t = stats.triage;
+        assert!(t.deferred > 0, "steady benign flows defer");
+        assert_eq!(
+            stats.flows_created + stats.predictions + t.dropped + t.shed,
+            stats.events_in
+        );
+        // The lane is as deep as every other hop, so a replay this size
+        // cannot fill it: nothing is shed, every deferred update is scored.
+        assert_eq!(t.shed, 0);
+        assert_eq!(stats.predictions, t.forwarded + t.deferred);
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //!   trace, emitting only the packets the sampling state machine
 //!   selects (the live-agent shape of the paper's sFlow baseline).
 //!
-//! Sources are *polled*, not blocked on: [`SourcePoll::Idle`] lets the
-//! collection stage stay responsive to `stop()` while a live source has
-//! nothing to hand over yet.
+//! Sources are *polled*, not blocked on: `Idle` lets the collection stage
+//! stay responsive to `stop()` while a live source has nothing to hand
+//! over yet. The runtime drains a source a batch at a time through
+//! [`EventSource::poll_batch`], which every source here that owns or
+//! waits for its events overrides, so that they move by value into the
+//! caller's buffer; [`EventSource::poll_event`] is the one method a new
+//! source has to write.
 
 use crate::event::{LabeledEvent, Telemetry};
 use crate::mailbox::EventMailbox;
@@ -47,19 +51,27 @@ use std::time::Duration;
 /// One poll of an [`EventSource`].
 ///
 /// The event payload is boxed: a [`LabeledEvent`] is large (the INT
-/// hop stack is inline, not heap-spilled), and `SourcePoll` now crosses
-/// listener-thread channel boundaries where an oversized enum variant
-/// is copied at every move. One pointer beats ~200 bytes of memcpy per
-/// hop through the runtime; sources that already own their events pay
-/// one small allocation at the poll boundary, which
-/// `BENCH_ingest.json`'s listener-loop gate deliberately excludes (the
-/// zero-alloc invariant guards the *listener* hot loop — decode, flow
-/// table, mailbox — not the poll wrapper).
+/// hop stack is inline, not heap-spilled), and an oversized enum variant
+/// is copied at every move. The box is the price of the one-event
+/// interface; [`EventSource::poll_batch`] is the allocation-free one.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SourcePoll {
     /// An event is ready.
     Event(Box<LabeledEvent>),
     /// Nothing right now, but the stream is still open — poll again.
+    Idle,
+    /// The stream has ended; no further events will ever arrive.
+    End,
+}
+
+/// How an [`EventSource::poll_batch`] call ended. Events may have been
+/// appended whichever it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchPoll {
+    /// The buffer reached the size asked for; more may be ready already.
+    More,
+    /// Nothing further right now, but the stream is still open: hand on
+    /// what has been gathered, then poll again.
     Idle,
     /// The stream has ended; no further events will ever arrive.
     End,
@@ -74,6 +86,52 @@ pub trait EventSource: Send {
     /// block briefly (sub-millisecond) but must not block indefinitely:
     /// the collection stage checks its stop flag between polls.
     fn poll_event(&mut self) -> SourcePoll;
+
+    /// Append ready events to `out`, in stream order, until it holds
+    /// `max` (a source may overshoot by one of its own units: a decoded
+    /// chunk, a mailbox batch). The flattened sequence of events and
+    /// `Idle` / `End` reports is the one repeated [`poll_event`] calls
+    /// would give.
+    ///
+    /// The default loops `poll_event` and so inherits its brief waits. A
+    /// source that waits for arrivals should override this to wait only
+    /// while `out` is empty: events already in `out` are held back — and
+    /// unseen by [`crate::runtime::RunHandle::drain`] — until the call
+    /// returns.
+    ///
+    /// [`poll_event`]: EventSource::poll_event
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        while out.len() < max {
+            match self.poll_event() {
+                SourcePoll::Event(event) => out.push(*event),
+                SourcePoll::Idle => return BatchPoll::Idle,
+                SourcePoll::End => return BatchPoll::End,
+            }
+        }
+        BatchPoll::More
+    }
+}
+
+/// `poll_event` over an in-memory iterator: yield or end, never idle.
+fn next_boxed(iter: &mut impl Iterator<Item = LabeledEvent>) -> SourcePoll {
+    match iter.next() {
+        Some(e) => SourcePoll::Event(Box::new(e)),
+        None => SourcePoll::End,
+    }
+}
+
+/// `poll_batch` over an in-memory iterator: top `out` up to `max`.
+fn fill(
+    iter: &mut impl Iterator<Item = LabeledEvent>,
+    out: &mut Vec<LabeledEvent>,
+    max: usize,
+) -> BatchPoll {
+    out.extend(iter.take(max.saturating_sub(out.len())));
+    if out.len() < max {
+        BatchPoll::End
+    } else {
+        BatchPoll::More
+    }
 }
 
 /// An in-memory iterator source. Never idles: it either yields or ends.
@@ -117,10 +175,11 @@ where
     I: Iterator<Item = LabeledEvent> + Send,
 {
     fn poll_event(&mut self) -> SourcePoll {
-        match self.iter.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
+        next_boxed(&mut self.iter)
+    }
+
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        fill(&mut self.iter, out, max)
     }
 }
 
@@ -168,6 +227,24 @@ impl EventSource for ChannelSource {
             Err(RecvTimeoutError::Disconnected) => SourcePoll::End,
         }
     }
+
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        while out.len() < max {
+            match self.rx.try_recv() {
+                Ok(e) => out.push(e),
+                Err(TryRecvError::Disconnected) => return BatchPoll::End,
+                // Wait only with nothing in hand: an event already in
+                // `out` must not sit behind a blocking receive.
+                Err(TryRecvError::Empty) if !out.is_empty() => return BatchPoll::Idle,
+                Err(TryRecvError::Empty) => match self.rx.recv_timeout(CHANNEL_POLL) {
+                    Ok(e) => out.push(e),
+                    Err(RecvTimeoutError::Timeout) => return BatchPoll::Idle,
+                    Err(RecvTimeoutError::Disconnected) => return BatchPoll::End,
+                },
+            }
+        }
+        BatchPoll::More
+    }
 }
 
 /// Restore a batch of labeled events to native-timestamp order and
@@ -176,6 +253,28 @@ fn replay_order(mut events: Vec<LabeledEvent>) -> std::vec::IntoIter<LabeledEven
     events.sort_by_key(|e| e.event.event_ns());
     events.into_iter()
 }
+
+/// Every replay source streams its pre-sorted `events` once.
+macro_rules! replay_event_source {
+    ($($source:ty),+) => {$(
+        impl EventSource for $source {
+            fn poll_event(&mut self) -> SourcePoll {
+                next_boxed(&mut self.events)
+            }
+
+            fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+                fill(&mut self.events, out, max)
+            }
+        }
+    )+};
+}
+
+replay_event_source!(
+    ReplaySource,
+    SflowReplaySource,
+    PintReplaySource,
+    EventReplaySource
+);
 
 /// An INT capture replay: reports are re-sorted into export-time order
 /// (the order the collector would have emitted them) and streamed once.
@@ -208,15 +307,6 @@ impl ReplaySource {
     }
 }
 
-impl EventSource for ReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
-    }
-}
-
 /// The sFlow twin of [`ReplaySource`]: samples replayed in observation
 /// order, labels preserved.
 #[derive(Debug)]
@@ -241,15 +331,6 @@ impl SflowReplaySource {
                     .map(|(s, c)| LabeledEvent::with_truth((*s).into(), *c))
                     .collect(),
             ),
-        }
-    }
-}
-
-impl EventSource for SflowReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
         }
     }
 }
@@ -285,15 +366,6 @@ impl PintReplaySource {
     }
 }
 
-impl EventSource for PintReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
-        }
-    }
-}
-
 /// Backend-agnostic replay: any mix of already-labeled events, restored
 /// to native-timestamp order. This is what registry-driven callers use
 /// ([`crate::event::TelemetryBackend::derive_view`] hands back
@@ -308,15 +380,6 @@ impl EventReplaySource {
     pub fn new(events: Vec<LabeledEvent>) -> Self {
         Self {
             events: replay_order(events),
-        }
-    }
-}
-
-impl EventSource for EventReplaySource {
-    fn poll_event(&mut self) -> SourcePoll {
-        match self.events.next() {
-            Some(e) => SourcePoll::Event(Box::new(e)),
-            None => SourcePoll::End,
         }
     }
 }
@@ -426,6 +489,23 @@ where
             None => SourcePoll::End,
         }
     }
+
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        // Whatever `poll_event` left of its last chunk goes first.
+        out.extend(self.decoded.drain(..).map(LabeledEvent::from));
+        while out.len() < max {
+            let Some(chunk) = self.chunks.next() else {
+                return BatchPoll::End;
+            };
+            self.scratch.clear();
+            self.collector.ingest_into(&chunk, &mut self.scratch);
+            if self.scratch.is_empty() {
+                return BatchPoll::Idle; // partial report buffered
+            }
+            out.extend(self.scratch.drain(..).map(LabeledEvent::from));
+        }
+        BatchPoll::More
+    }
 }
 
 /// How long a [`SocketSource`] poll sleeps before reporting `Idle` when
@@ -440,19 +520,17 @@ const SOCKET_IDLE_WAIT: Duration = Duration::from_micros(100);
 ///
 /// Each listener thread owns exactly one mailbox (no producer-side
 /// contention) and publishes event *batches*; this source drains the
-/// mailboxes round-robin, hands events to the collection stage one at
-/// a time, and recycles every drained batch shell back to the mailbox
-/// it came from so the listener's steady state allocates nothing.
+/// mailboxes round-robin, copies whole batches out to the collection
+/// stage, and recycles every drained batch shell back to the mailbox it
+/// came from so the listener's steady state allocates nothing.
 ///
 /// The stream ends when every mailbox is closed *and* empty — i.e. all
 /// listener threads exited and everything they published was consumed.
 pub struct SocketSource {
     mailboxes: Vec<Arc<EventMailbox>>,
-    /// The batch currently being drained, reversed so `pop()` yields
-    /// events in published order without shifting.
-    current: Vec<LabeledEvent>,
-    /// Which mailbox `current` came from (its recycling address).
-    owner: usize,
+    /// Events pulled for `poll_event` and not yet handed out, reversed so
+    /// `pop()` yields them in published order without shifting.
+    staged: Vec<LabeledEvent>,
     /// Round-robin scan cursor.
     next: usize,
     /// Events handed to the pipeline so far.
@@ -464,8 +542,7 @@ impl SocketSource {
     pub fn new(mailboxes: Vec<Arc<EventMailbox>>) -> Self {
         Self {
             mailboxes,
-            current: Vec::new(),
-            owner: 0,
+            staged: Vec::new(),
             next: 0,
             consumed: 0,
         }
@@ -476,56 +553,73 @@ impl SocketSource {
         self.consumed
     }
 
-    /// Pull the next ready batch into `current`, round-robin across the
-    /// mailboxes. Returns false if every mailbox was empty.
-    fn refill(&mut self) -> bool {
+    /// Pop the next ready batch (in published order), round-robin across
+    /// the mailboxes, with the mailbox it came from.
+    fn next_batch(&mut self) -> Option<(&EventMailbox, Vec<LabeledEvent>)> {
         let n = self.mailboxes.len();
         for i in 0..n {
             let idx = (self.next + i) % n;
             let Some(mailbox) = self.mailboxes.get(idx) else {
                 continue;
             };
-            if let Some(mut batch) = mailbox.pop() {
-                // Reverse once so per-event pop() is O(1) *and* events
-                // come out in the order the listener pushed them.
-                batch.reverse();
-                self.current = batch;
-                self.owner = idx;
+            if let Some(batch) = mailbox.pop() {
                 self.next = (idx + 1) % n;
-                return true;
+                return Some((mailbox, batch));
             }
         }
-        false
+        None
+    }
+
+    /// Append whole mailbox batches to `out` until it holds `max`, sending
+    /// each drained shell straight home.
+    fn pull(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        while out.len() < max {
+            let Some((mailbox, mut batch)) = self.next_batch() else {
+                if self.mailboxes.iter().all(|m| m.is_finished()) {
+                    return BatchPoll::End;
+                }
+                // Every mailbox empty but at least one producer is still
+                // alive. With nothing in hand, nap briefly so this poll
+                // loop doesn't hammer the mailbox mutexes; either way let
+                // the collection stage get its stop-flag check in.
+                if out.is_empty() {
+                    std::thread::sleep(SOCKET_IDLE_WAIT);
+                }
+                return BatchPoll::Idle;
+            };
+            out.append(&mut batch);
+            mailbox.recycle(batch);
+        }
+        BatchPoll::More
     }
 }
 
 impl EventSource for SocketSource {
     fn poll_event(&mut self) -> SourcePoll {
-        loop {
-            if let Some(event) = self.current.pop() {
-                self.consumed += 1;
-                return SourcePoll::Event(Box::new(event));
-            }
-            // Drained: send the shell home before looking for more.
-            if self.current.capacity() > 0 {
-                let shell = std::mem::take(&mut self.current);
-                if let Some(owner) = self.mailboxes.get(self.owner) {
-                    owner.recycle(shell);
-                }
-            }
-            if self.refill() {
-                continue;
-            }
-            if self.mailboxes.iter().all(|m| m.is_finished()) {
-                return SourcePoll::End;
-            }
-            // Every mailbox empty but at least one producer is still
-            // alive: nap briefly so this poll loop doesn't hammer the
-            // mailbox mutexes, then let the collection stage get its
-            // stop-flag check in.
-            std::thread::sleep(SOCKET_IDLE_WAIT);
-            return SourcePoll::Idle;
+        let mut poll = BatchPoll::More;
+        if self.staged.is_empty() {
+            let mut staged = std::mem::take(&mut self.staged);
+            poll = self.pull(&mut staged, 1);
+            staged.reverse();
+            self.staged = staged;
         }
+        match (self.staged.pop(), poll) {
+            (Some(event), _) => {
+                self.consumed += 1;
+                SourcePoll::Event(Box::new(event))
+            }
+            (None, BatchPoll::End) => SourcePoll::End,
+            (None, _) => SourcePoll::Idle,
+        }
+    }
+
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        let before = out.len();
+        // Whatever `poll_event` left staged goes first.
+        out.extend(self.staged.drain(..).rev());
+        let poll = self.pull(out, max);
+        self.consumed += (out.len() - before) as u64;
+        poll
     }
 }
 
@@ -583,6 +677,48 @@ mod tests {
                 SourcePoll::Event(e) => out.push(*e),
                 SourcePoll::Idle => continue,
                 SourcePoll::End => return out,
+            }
+        }
+    }
+
+    /// Poll event by event up to and including the next `Idle` or `End`:
+    /// one stretch of the source's flattened poll sequence.
+    fn until_pause(source: &mut impl EventSource) -> Vec<SourcePoll> {
+        let mut steps = Vec::new();
+        loop {
+            steps.push(source.poll_event());
+            if !matches!(steps.last(), Some(SourcePoll::Event(_))) {
+                return steps;
+            }
+        }
+    }
+
+    /// The same stretch of the stream through `poll_batch`, `max` events
+    /// at a time.
+    fn until_pause_batched(source: &mut impl EventSource, max: usize) -> Vec<SourcePoll> {
+        let mut steps = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let poll = source.poll_batch(&mut out, max);
+            steps.extend(out.drain(..).map(|e| SourcePoll::Event(Box::new(e))));
+            match poll {
+                BatchPoll::More => continue,
+                BatchPoll::Idle => steps.push(SourcePoll::Idle),
+                BatchPoll::End => steps.push(SourcePoll::End),
+            }
+            return steps;
+        }
+    }
+
+    /// Two identical sources, one polled each way, all the way to `End`:
+    /// same events, same order, every `Idle` in the same place.
+    fn assert_batch_matches_events(mut a: impl EventSource, mut b: impl EventSource, max: usize) {
+        loop {
+            let expected = until_pause(&mut a);
+            assert!(!expected.is_empty());
+            assert_eq!(until_pause_batched(&mut b, max), expected, "max {max}");
+            if expected.last() == Some(&SourcePoll::End) {
+                return;
             }
         }
     }
@@ -810,5 +946,149 @@ mod tests {
         let mut src = SocketSource::new(vec![Arc::clone(&mb)]);
         assert!(matches!(src.poll_event(), SourcePoll::Event(_)));
         assert_eq!(src.poll_event(), SourcePoll::End);
+    }
+
+    #[test]
+    fn poll_batch_matches_poll_event_for_in_memory_sources() {
+        let reports: Vec<_> = (0..7).map(report).collect();
+        let labeled: Vec<_> = reports
+            .iter()
+            .rev()
+            .map(|r| (r.clone(), TrafficClass::Benign))
+            .collect();
+        let samples: Vec<_> = (0..7)
+            .rev()
+            .map(|i| (sample(i), TrafficClass::SlowLoris))
+            .collect();
+        let digests = crate::event::pint_view(&labeled, 8);
+        let events: Vec<LabeledEvent> = reports.iter().cloned().map(Into::into).collect();
+        // 3 leaves a remainder, 7 ends exactly on a batch boundary.
+        for max in [1, 3, 7, 64] {
+            assert_batch_matches_events(
+                IterSource::from(reports.clone()),
+                IterSource::from(reports.clone()),
+                max,
+            );
+            assert_batch_matches_events(
+                ReplaySource::from_labeled(&labeled),
+                ReplaySource::from_labeled(&labeled),
+                max,
+            );
+            assert_batch_matches_events(
+                SflowReplaySource::from_labeled(&samples),
+                SflowReplaySource::from_labeled(&samples),
+                max,
+            );
+            assert_batch_matches_events(
+                PintReplaySource::from_labeled(&digests),
+                PintReplaySource::from_labeled(&digests),
+                max,
+            );
+            assert_batch_matches_events(
+                EventReplaySource::new(events.clone()),
+                EventReplaySource::new(events.clone()),
+                max,
+            );
+        }
+    }
+
+    #[test]
+    fn poll_batch_matches_poll_event_for_the_sampling_agent() {
+        // Sparse enough that whole bursts go by unsampled: Idle mid-stream.
+        let pkt = PacketBuilder::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            .tcp_syn(4242, 80, 1);
+        let trace: Trace = (0..3 * AGENT_BURST as u64)
+            .map(|i| PacketRecord {
+                ts_ns: i,
+                packet: pkt,
+                class: TrafficClass::Benign,
+            })
+            .collect();
+        let source = || {
+            let mode = SamplingMode::Deterministic {
+                period: 2 * AGENT_BURST as u32,
+                phase: 5,
+            };
+            SflowAgentSource::new(SflowAgent::new(mode, 0), &trace)
+        };
+        assert!(until_pause(&mut source()).contains(&SourcePoll::Idle));
+        assert_batch_matches_events(source(), source(), 2);
+    }
+
+    #[test]
+    fn poll_batch_matches_poll_event_for_the_collector() {
+        let reports: Vec<_> = (0..6).map(report).collect();
+        let stream = IntCollector::encode_stream(&reports);
+        // 7-byte chunks: most complete no report (Idle); whole-stream
+        // chunks: several reports per chunk, none split.
+        for chunk_len in [7, stream.len()] {
+            let source = || {
+                let chunks: Vec<Vec<u8>> = stream.chunks(chunk_len).map(<[u8]>::to_vec).collect();
+                CollectorSource::new(chunks.into_iter())
+            };
+            for max in [1, 4, 64] {
+                assert_batch_matches_events(source(), source(), max);
+            }
+        }
+        // A batch poll picks up where an event poll stopped: the first
+        // event leaves five decoded reports waiting.
+        let mut mixed = CollectorSource::new(vec![stream.to_vec()].into_iter());
+        assert!(matches!(mixed.poll_event(), SourcePoll::Event(_)));
+        let mut out = Vec::new();
+        assert_eq!(mixed.poll_batch(&mut out, 64), BatchPoll::End);
+        assert_eq!(int_events(&out), reports[1..]);
+    }
+
+    #[test]
+    fn poll_batch_matches_poll_event_for_live_sources() {
+        // Channel: queued events, an Idle while it stays open, then End.
+        let feed = || {
+            let (tx, src) = ChannelSource::bounded(8);
+            for i in 0..5 {
+                tx.send(report(i).into()).unwrap();
+            }
+            (tx, src)
+        };
+        for max in [2, 5, 64] {
+            let ((tx_a, mut a), (tx_b, mut b)) = (feed(), feed());
+            let expected = until_pause(&mut a);
+            assert_eq!(expected.len(), 6);
+            assert_eq!(expected[5], SourcePoll::Idle);
+            assert_eq!(until_pause_batched(&mut b, max), expected);
+            drop((tx_a, tx_b));
+            assert_eq!(until_pause(&mut a), vec![SourcePoll::End]);
+            assert_eq!(until_pause_batched(&mut b, max), vec![SourcePoll::End]);
+        }
+
+        // Socket: two mailboxes round-robin, Idle while open, End once
+        // closed — and a batch poll after an event poll keeps the order.
+        let serve = || {
+            let mb_a = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
+            let mb_b = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
+            mb_a.publish((0..3).map(|i| LabeledEvent::from(report(i))).collect());
+            mb_b.publish((10..12).map(|i| LabeledEvent::from(report(i))).collect());
+            mb_a.publish((3..5).map(|i| LabeledEvent::from(report(i))).collect());
+            let src = SocketSource::new(vec![Arc::clone(&mb_a), Arc::clone(&mb_b)]);
+            ([mb_a, mb_b], src)
+        };
+        for max in [1, 4, 64] {
+            let ((boxes_a, mut a), (boxes_b, mut b)) = (serve(), serve());
+            let expected = until_pause(&mut a);
+            assert_eq!(expected.len(), 8);
+            assert_eq!(until_pause_batched(&mut b, max), expected);
+            assert_eq!(b.consumed(), 7);
+            for mailbox in boxes_a.iter().chain(&boxes_b) {
+                mailbox.close();
+            }
+            assert_eq!(until_pause(&mut a), vec![SourcePoll::End]);
+            assert_eq!(until_pause_batched(&mut b, max), vec![SourcePoll::End]);
+        }
+        let (boxes, mut mixed) = serve();
+        let all = until_pause(&mut serve().1);
+        assert!(matches!(mixed.poll_event(), SourcePoll::Event(_)));
+        assert_eq!(until_pause_batched(&mut mixed, 64), all[1..]);
+        assert_eq!(mixed.consumed(), 7);
+        // Every drained shell went home, the half-drained one included.
+        assert!(boxes[0].acquire().capacity() >= 2);
     }
 }

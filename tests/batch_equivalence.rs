@@ -9,15 +9,24 @@
 //! that contract across awkward batch sizes (empty, one row, lockstep
 //! and register-tile remainders) and non-finite feature values, plus a
 //! property test over random batches.
+//!
+//! The same holds one level up: the threaded runtime, which routes and
+//! scores events in channel-message batches, must store per flow exactly
+//! the verdict sequence the one-thread `run_sync` driver stores.
 
-use amlight::core::trainer::{train_bundle, TrainerConfig, VoteScratch};
+use amlight::core::source::ReplaySource;
+use amlight::core::trainer::{dataset_from_events, train_bundle, TrainerConfig, VoteScratch};
+use amlight::core::{DetectionPipeline, PipelineConfig, ThreadedPipeline};
 use amlight::features::FeatureSet;
+use amlight::int::{HopMetadata, InstructionSet, TelemetryReport};
 use amlight::ml::model::BinaryClassifier;
 use amlight::ml::{
     Dataset, GaussianNb, GbtConfig, GradientBoost, Knn, Mlp, MlpConfig, RandomForest,
     RandomForestConfig,
 };
+use amlight::net::{FlowKey, Protocol, TrafficClass};
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
 
 /// Two deterministic interleaved clusters, jittered enough that trees
 /// actually split and the MLP trains non-trivially.
@@ -185,6 +194,75 @@ fn ensemble_votes_batch_matches_per_row_votes() {
                 "ensemble decision diverged at row {r} of batch {n}"
             );
         }
+    }
+}
+
+/// 12 benign flows at 1 ms cadence interleaved with 6 flood flows at
+/// 3 µs cadence, in export order.
+fn labeled_capture(n: u64) -> Vec<(TelemetryReport, TrafficClass)> {
+    let report = |src: u8, port: u16, t_ns: u64, len: u16, qocc: u32| TelemetryReport {
+        flow: FlowKey::new(
+            Ipv4Addr::new(10, 9, 0, src),
+            Ipv4Addr::new(10, 0, 0, 2),
+            port,
+            80,
+            Protocol::Tcp,
+        ),
+        ip_len: len,
+        tcp_flags: Some(0x02),
+        instructions: InstructionSet::amlight(),
+        hops: vec![HopMetadata {
+            switch_id: 0,
+            ingress_tstamp: t_ns as u32,
+            egress_tstamp: (t_ns as u32).wrapping_add(400),
+            hop_latency: 0,
+            queue_occupancy: qocc,
+        }]
+        .into(),
+        export_ns: t_ns,
+    };
+    let mut v = Vec::new();
+    for i in 0..n {
+        let benign = report(1, 1000 + (i % 12) as u16, i * 1_000_000, 800, 0);
+        v.push((benign, TrafficClass::Benign));
+        let flood = report(2, 2000 + (i % 6) as u16, i * 3_000, 40, 20);
+        v.push((flood, TrafficClass::SynFlood));
+    }
+    v.sort_by_key(|(r, _)| r.export_ns);
+    v
+}
+
+#[test]
+fn threaded_batches_store_the_verdict_sequences_run_sync_stores() {
+    let raw = dataset_from_events(&labeled_capture(200), FeatureSet::full());
+    let trainer = TrainerConfig {
+        mlp: MlpConfig {
+            epochs: 4,
+            ..MlpConfig::paper_mlp()
+        },
+        ..Default::default()
+    };
+    let bundle = train_bundle(&raw, FeatureSet::full(), &trainer);
+    // 1000 events: several full 256-event messages and a partial one.
+    let labeled = labeled_capture(500);
+
+    let mut sync = DetectionPipeline::new(bundle.clone(), PipelineConfig::default());
+    sync.run_sync(&labeled);
+    let expected = sync.database().verdict_sequences();
+    assert_eq!(expected.len(), 18);
+
+    for shards in [1usize, 2, 8] {
+        let threaded = ThreadedPipeline::new(bundle.clone()).with_shards(shards);
+        let stats = threaded
+            .start(ReplaySource::from_labeled(&labeled))
+            .join()
+            .expect("no module thread panicked");
+        assert_eq!(stats.events_in, labeled.len() as u64);
+        assert_eq!(
+            threaded.database().verdict_sequences(),
+            expected,
+            "{shards} shards"
+        );
     }
 }
 

@@ -78,11 +78,12 @@ fn bundle() -> ModelBundle {
 /// only as throughput. Per-flow verdict sequences — and the created-flow
 /// count — are bit-identical across 1, 2, and 8 shards, because a flow
 /// always routes to the same shard and shard-local processing preserves
-/// arrival order.
+/// arrival order. 800 events, so that collection's 256-event batches
+/// leave full with one shard and partial, at end of stream, with eight.
 #[test]
 fn shard_count_is_invisible_to_verdicts() {
     let b = bundle();
-    let reports: Vec<TelemetryReport> = capture(120).into_iter().map(|(r, _)| r).collect();
+    let reports: Vec<TelemetryReport> = capture(400).into_iter().map(|(r, _)| r).collect();
 
     let mut baseline = None;
     for shards in [1usize, 2, 8] {
