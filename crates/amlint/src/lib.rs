@@ -49,7 +49,6 @@ pub const EXPECTED_HOT_ROOTS: &[&str] = &[
     "crates/core/src/mailbox.rs::pop",
     "crates/core/src/mailbox.rs::publish",
     "crates/core/src/modules.rs::ingest",
-    "crates/features/src/sharded.rs::apply_batch_into",
     "crates/features/src/table.rs::apply",
     "crates/features/src/triage.rs::assess",
     "crates/int/src/collector.rs::decode_datagram_into",

@@ -13,7 +13,7 @@
 //!   (feature values are f64; exact comparison is how unclamped NaN and
 //!   ULP noise sneak into the ensemble vote).
 //! * **R4** — no lock guard held across a channel `.send(` / `.recv(`
-//!   in the threaded runtime (`runtime.rs`, `sharded.rs`): a blocked
+//!   in the threaded runtime (`runtime.rs`, `modules.rs`, …): a blocked
 //!   bounded channel plus a held lock is the classic pipeline deadlock.
 //! * **R5** — `unsafe` only in `shims/`, and every occurrence there
 //!   must carry a `// SAFETY:` comment.
@@ -31,7 +31,6 @@ use crate::{Diagnostic, FileClass};
 /// front end made them the first thing a wire datagram touches.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/pipeline.rs",
-    "crates/core/src/batch.rs",
     "crates/core/src/runtime.rs",
     "crates/core/src/modules.rs",
     "crates/core/src/source.rs",
@@ -59,7 +58,6 @@ const R4_FILES: &[&str] = &[
     "crates/core/src/source.rs",
     "crates/core/src/event.rs",
     "crates/core/src/mailbox.rs",
-    "crates/features/src/sharded.rs",
     "crates/ingest/src/lib.rs",
     "crates/sflow/src/agent.rs",
     "crates/sflow/src/datagram.rs",

@@ -263,7 +263,7 @@ fn run_pipeline(
     let mut retrains = 0u64;
     let start = Instant::now();
     for day in days {
-        let stats = match pipe.start(ReplaySource::from_labeled(day)).join() {
+        let stats = match pipe.start(ReplaySource::new(day.iter().cloned())).join() {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("streaming run failed: {e}");

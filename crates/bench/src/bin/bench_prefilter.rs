@@ -114,7 +114,7 @@ fn run_mode(
         .with_prefilter(mode);
     let t0 = Instant::now();
     let stats = pipe
-        .start(ReplaySource::from_labeled(labeled))
+        .start(ReplaySource::new(labeled.iter().cloned()))
         .join()
         .expect("no module thread panicked");
     let wall = t0.elapsed().as_secs_f64();
@@ -122,10 +122,7 @@ fn run_mode(
     let seqs = pipe.database().verdict_sequences();
     let flagged = attack_flows
         .iter()
-        .filter(|key| {
-            seqs.get(key)
-                .is_some_and(|seq| seq.contains(&Some(true)))
-        })
+        .filter(|key| seqs.get(key).is_some_and(|seq| seq.contains(&Some(true))))
         .count() as u64;
     let t = stats.triage;
     ModeRecord {

@@ -1,5 +1,6 @@
 //! Streaming runtime throughput: the threaded pipeline over a live,
-//! channel-fed [`EventSource`], swept across processor shard counts.
+//! channel-fed [`amlight_core::EventSource`], swept across processor shard
+//! counts.
 //!
 //! A feeder thread replays a labeled capture into a bounded channel —
 //! the same shape as a production INT collector socket loop — while the

@@ -27,7 +27,7 @@
 use amlight_bench::util::{arg_seed, banner, flag_fast, results_dir, write_json};
 use amlight_core::event::{TelemetryBackend, ViewOptions};
 use amlight_core::runtime::{ThreadedPipeline, ThreadedRunStats};
-use amlight_core::source::{EventReplaySource, EventSource};
+use amlight_core::source::{EventSource, ReplaySource};
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::{dataset_from_labeled, train_bundle, ModelBundle, TrainerConfig};
 use amlight_ml::{MlpConfig, RandomForestConfig};
@@ -351,7 +351,7 @@ fn main() {
             bits,
             backend.bits_per_packet(hops, &opts),
             bundle,
-            EventReplaySource::new(test_view),
+            ReplaySource::new(test_view),
             truths.into_iter(),
         );
         frontier.push(rec);

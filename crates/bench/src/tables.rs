@@ -343,7 +343,8 @@ pub fn table1_schedule(day_len_s: u64) -> Vec<String> {
 
 /// **Table II**: feature availability matrix, INT vs sFlow.
 pub fn table2_features() -> Vec<String> {
-    FeatureId::ALL
+    FeatureSet::full()
+        .features()
         .into_iter()
         .map(|f| {
             format!(

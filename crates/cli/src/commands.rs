@@ -6,7 +6,7 @@ use amlight_core::event::{
 };
 use amlight_core::pipeline::{DetectionPipeline, PipelineConfig};
 use amlight_core::runtime::{AdaptConfig, ThreadedPipeline};
-use amlight_core::source::EventReplaySource;
+use amlight_core::source::ReplaySource;
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::{
     dataset_from_events, dataset_from_labeled, train_bundle, ModelBundle, TrainerConfig,
@@ -321,7 +321,7 @@ fn cmd_detect(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         if adapt {
             pipeline = pipeline.with_adaptation(AdaptConfig::default());
         }
-        let handle = pipeline.start(EventReplaySource::new(view));
+        let handle = pipeline.start(ReplaySource::new(view));
         let stats = handle.join().map_err(bad)?;
         print_threaded(&stats, backend, out)?;
         if adapt {

@@ -101,10 +101,7 @@ impl TelemetryBackend {
         opts: &ViewOptions,
     ) -> Vec<LabeledEvent> {
         match self {
-            TelemetryBackend::Int => labeled
-                .iter()
-                .map(|(r, c)| LabeledEvent::with_truth(r.clone().into(), *c))
-                .collect(),
+            TelemetryBackend::Int => labeled.iter().cloned().map(LabeledEvent::from).collect(),
             TelemetryBackend::Sflow => {
                 let mut agent = SflowAgent::new(
                     SamplingMode::RandomSkip {
@@ -114,12 +111,12 @@ impl TelemetryBackend {
                 );
                 sample_reports(labeled, &mut agent)
                     .into_iter()
-                    .map(|(s, c)| LabeledEvent::with_truth(s.into(), c))
+                    .map(LabeledEvent::from)
                     .collect()
             }
             TelemetryBackend::Pint => pint_view(labeled, opts.pint_bits)
                 .into_iter()
-                .map(|(r, c)| LabeledEvent::with_truth(r.into(), c))
+                .map(LabeledEvent::from)
                 .collect(),
         }
     }
@@ -398,27 +395,17 @@ impl LabeledEvent {
     }
 }
 
-impl From<TelemetryEvent> for LabeledEvent {
-    fn from(event: TelemetryEvent) -> Self {
-        Self::new(event)
+/// An unlabeled event, any backend (or the erased enum itself).
+impl<E: Into<TelemetryEvent>> From<E> for LabeledEvent {
+    fn from(event: E) -> Self {
+        Self::new(event.into())
     }
 }
 
-impl From<TelemetryReport> for LabeledEvent {
-    fn from(report: TelemetryReport) -> Self {
-        Self::new(report.into())
-    }
-}
-
-impl From<FlowSample> for LabeledEvent {
-    fn from(sample: FlowSample) -> Self {
-        Self::new(sample.into())
-    }
-}
-
-impl From<PintReport> for LabeledEvent {
-    fn from(report: PintReport) -> Self {
-        Self::new(report.into())
+/// A labeled capture row, any backend: the event with its ground truth.
+impl<E: Into<TelemetryEvent>> From<(E, TrafficClass)> for LabeledEvent {
+    fn from((event, truth): (E, TrafficClass)) -> Self {
+        Self::with_truth(event.into(), truth)
     }
 }
 
@@ -450,7 +437,8 @@ pub fn sample_reports(
 /// report is one packet, digested down to `bits` and reconstructed in
 /// arrival order — exactly what a PINT-instrumented path plus collector
 /// would have produced for the same traffic. The PINT sibling of
-/// [`sample_reports`], feeding `PintReplaySource` and the CLI.
+/// [`sample_reports`], feeding [`crate::source::ReplaySource`] and the
+/// CLI.
 pub fn pint_view(
     labeled: &[(TelemetryReport, TrafficClass)],
     bits: u8,

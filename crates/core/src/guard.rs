@@ -56,7 +56,6 @@ impl CountMinSketch {
         Self::new(2048, 4)
     }
 
-    // amlint: allow(R8) -- SEEDS indexed mod its length
     #[inline]
     fn cell(&self, row: usize, key: u64) -> usize {
         // Row-seeded multiply-shift hashing; odd multipliers.
@@ -78,7 +77,6 @@ impl CountMinSketch {
     }
 
     /// Add `count` to `key`; returns the new (over-)estimate.
-    // amlint: allow(R8) -- cell() = row*width + h%width < depth*width = counters.len()
     pub fn increment(&mut self, key: u64, count: u32) -> u32 {
         self.total += u64::from(count);
         let mut est = u32::MAX;
@@ -91,7 +89,6 @@ impl CountMinSketch {
     }
 
     /// Point estimate (minimum over rows).
-    // amlint: allow(R8) -- cell() = row*width + h%width < depth*width = counters.len()
     pub fn estimate(&self, key: u64) -> u32 {
         (0..self.depth)
             .map(|row| self.counters[self.cell(row, key)])
@@ -176,18 +173,16 @@ impl NewFlowGuard {
     }
 
     /// Record one flow creation toward `dst` at time `now_ns`.
-    pub fn record_created(&mut self, dst: Ipv4Addr, now_ns: u64) {
+    pub fn observe_new_flow(&mut self, dst: Ipv4Addr, now_ns: u64) {
         // Roll epochs forward (possibly through empty ones).
         while now_ns >= self.epoch_start_ns + self.cfg.epoch_ns {
             self.close_epoch();
             self.epoch_start_ns += self.cfg.epoch_ns;
         }
         self.sketch.increment(Self::key(dst), 1);
-        // amlint: cold -- bounded: one entry per victim destination, cleared each epoch
         self.active_dsts.entry(dst).or_insert(());
     }
 
-    // amlint: cold -- per-epoch (1 s) close-out, not the per-event path
     fn close_epoch(&mut self) {
         let dsts: Vec<Ipv4Addr> = self.active_dsts.keys().copied().collect();
         for dst in dsts {
@@ -283,7 +278,7 @@ mod tests {
         // 20 new flows/s for 30 s — under the 50-flow floor.
         for s in 0..30u64 {
             for i in 0..20u64 {
-                g.record_created(dst(), s * 1_000_000_000 + i * 1_000_000);
+                g.observe_new_flow(dst(), s * 1_000_000_000 + i * 1_000_000);
             }
         }
         assert!(g.finish().is_empty());
@@ -295,11 +290,11 @@ mod tests {
         // 5 s of calm (20 flows/s), then a 5,000-flow second.
         for s in 0..5u64 {
             for i in 0..20u64 {
-                g.record_created(dst(), s * 1_000_000_000 + i * 1_000_000);
+                g.observe_new_flow(dst(), s * 1_000_000_000 + i * 1_000_000);
             }
         }
         for i in 0..5_000u64 {
-            g.record_created(dst(), 5_000_000_000 + i * 100_000);
+            g.observe_new_flow(dst(), 5_000_000_000 + i * 100_000);
         }
         let alerts = g.finish();
         assert_eq!(alerts.len(), 1, "exactly the flood epoch");
@@ -323,7 +318,7 @@ mod tests {
         // 60 flows in one epoch to a never-seen dst: over 8× baseline(0)
         // but under the floor.
         for i in 0..60u64 {
-            g.record_created(dst(), i * 1_000_000);
+            g.observe_new_flow(dst(), i * 1_000_000);
         }
         assert!(g.finish().is_empty());
     }
@@ -334,12 +329,12 @@ mod tests {
         let quiet = Ipv4Addr::new(10, 0, 0, 3);
         for s in 0..3u64 {
             for i in 0..10u64 {
-                g.record_created(quiet, s * 1_000_000_000 + i * 1_000_000);
+                g.observe_new_flow(quiet, s * 1_000_000_000 + i * 1_000_000);
             }
         }
         // Flood a different address.
         for i in 0..2_000u64 {
-            g.record_created(dst(), 3_000_000_000 + i * 100_000);
+            g.observe_new_flow(dst(), 3_000_000_000 + i * 100_000);
         }
         let alerts = g.finish();
         assert!(alerts.iter().all(|a| a.dst == dst()));
@@ -351,13 +346,13 @@ mod tests {
         let mut g = NewFlowGuard::new(GuardConfig::default());
         for s in 0..2u64 {
             for i in 0..20u64 {
-                g.record_created(dst(), s * 1_000_000_000 + i * 1_000_000);
+                g.observe_new_flow(dst(), s * 1_000_000_000 + i * 1_000_000);
             }
         }
         // Ten straight flood seconds.
         for s in 2..12u64 {
             for i in 0..3_000u64 {
-                g.record_created(dst(), s * 1_000_000_000 + i * 300_000);
+                g.observe_new_flow(dst(), s * 1_000_000_000 + i * 300_000);
             }
         }
         let alerts = g.finish();
@@ -371,9 +366,9 @@ mod tests {
     #[test]
     fn empty_epochs_roll_silently() {
         let mut g = NewFlowGuard::new(GuardConfig::default());
-        g.record_created(dst(), 100);
+        g.observe_new_flow(dst(), 100);
         // Next event 1000 epochs later.
-        g.record_created(dst(), 1_000 * 1_000_000_000 + 5);
+        g.observe_new_flow(dst(), 1_000 * 1_000_000_000 + 5);
         assert!(g.finish().is_empty());
     }
 }

@@ -37,7 +37,6 @@
 // Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod db;
 pub mod drift;
 pub mod epoch;
@@ -53,7 +52,6 @@ pub mod trainer;
 pub mod verdict;
 
 pub use amlight_ml::{BundleMeta, MetaError, BUNDLE_SCHEMA_VERSION};
-pub use batch::{BatchDetector, BatchOutcome};
 pub use db::{FlowDatabase, PredictionRecord};
 pub use drift::{DriftConfig, DriftDetector};
 pub use epoch::{EpochHandle, PublishError, VersionedBundle};
@@ -69,8 +67,8 @@ pub use modules::{
 pub use pipeline::{DetectionPipeline, PipelineConfig, PipelineReport};
 pub use runtime::{AdaptConfig, AdaptStats, RunHandle, RuntimeError, ThreadedPipeline};
 pub use source::{
-    BatchPoll, ChannelSource, CollectorSource, EventReplaySource, EventSource, IterSource,
-    PintReplaySource, ReplaySource, SflowAgentSource, SflowReplaySource, SocketSource, SourcePoll,
+    BatchPoll, ChannelSource, CollectorSource, EventSource, IterSource, ReplaySource,
+    SflowAgentSource, SocketSource, SourcePoll,
 };
 pub use testbed::{Testbed, TestbedConfig};
 pub use trainer::{train_bundle, ModelBundle, TrainerConfig, VoteScratch};

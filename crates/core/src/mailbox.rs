@@ -78,12 +78,16 @@ pub struct EventMailbox {
 impl EventMailbox {
     /// A mailbox holding at most `capacity` pending batches (minimum 1).
     pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
+        let capacity = capacity.max(1);
         Self {
+            // Both sides at their bounds up front (`free` admits one
+            // shell past `capacity`), so `publish` and `recycle` never
+            // grow them at a new queue-depth high-water mark.
             inner: Mutex::new(Inner {
-                ready: VecDeque::new(),
-                free: Vec::new(),
+                ready: VecDeque::with_capacity(capacity),
+                free: Vec::with_capacity(capacity + 1),
             }),
-            capacity: capacity.max(1),
+            capacity,
             policy,
             closed: AtomicBool::new(false),
             published_batches: AtomicU64::new(0),
@@ -318,6 +322,35 @@ mod tests {
         assert!(again.capacity() >= 4, "capacity survives recycling");
         assert_eq!(again.as_ptr() as usize, baseline_ptr, "same allocation");
         assert!(again.is_empty());
+    }
+
+    #[test]
+    fn queue_and_free_list_never_regrow_up_to_capacity() {
+        for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
+            let mb = EventMailbox::new(8, policy);
+            let capacities = || {
+                let inner = mb.inner.lock();
+                (inner.ready.capacity(), inner.free.capacity())
+            };
+            let at_rest = capacities();
+            // Fill past the bound (the overflow sheds into `free`), drain
+            // everything, and send every shell home — twice, so the
+            // second lap runs on recycled shells.
+            for _ in 0..2 {
+                for tag in 0..10 {
+                    let mut shell = mb.acquire();
+                    shell.push(event(tag));
+                    mb.publish(shell);
+                    assert_eq!(capacities(), at_rest, "publish {tag}");
+                }
+                assert_eq!(mb.pending_batches(), 8);
+                let popped: Vec<_> = std::iter::from_fn(|| mb.pop()).collect();
+                for shell in popped {
+                    mb.recycle(shell);
+                    assert_eq!(capacities(), at_rest, "recycle");
+                }
+            }
+        }
     }
 
     #[test]

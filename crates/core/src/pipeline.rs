@@ -304,7 +304,7 @@ impl DetectionPipeline {
                 match processor.ingest(report, &mut rows) {
                     Ingest::Created { key, registered_ns } => {
                         if let Some(g) = guard.as_mut() {
-                            g.record_created(key.dst_ip, registered_ns);
+                            g.observe_new_flow(key.dst_ip, registered_ns);
                         }
                     }
                     Ingest::Judged(judged) => pending.push((judged, *class)),

@@ -11,7 +11,7 @@
 //!   sampling agent — both telemetry backends speak
 //!   [`crate::event::LabeledEvent`]) a batch at a time and fans events
 //!   out to the processor shards, routed by
-//!   [`amlight_features::sharded::ShardRouter`] over the event's
+//!   [`ShardRouter`] over the event's
 //!   5-tuple, which both backends carry — so a given flow always lands
 //!   on the same shard no matter which telemetry system observed it;
 //! * **processor shards** (N threads) each own a private
@@ -22,10 +22,11 @@
 //! * **prediction** (one thread) fans the shard batches back in and runs
 //!   one columnar ensemble pass per batch via the shared [`Predictor`];
 //! * **aggregation** (one thread) folds votes into per-flow smoothing
-//!   windows with the shared [`Aggregator`], stamping every stored
-//!   [`PredictionRecord`] with a real wall-clock `predicted_ns` (no more
-//!   placeholder zeros) and the measured prediction latency, and stores
-//!   each voted batch under one database lock.
+//!   windows with the shared [`crate::modules::Aggregator`], stamping
+//!   every stored [`crate::db::PredictionRecord`] with a real wall-clock
+//!   `predicted_ns` (no more placeholder zeros) and the measured
+//!   prediction latency, and stores each voted batch under one database
+//!   lock.
 //!
 //! The batch is the unit of work on every hop: one channel message
 //! carries up to [`MAX_JOB_BATCH`] events or judged updates, a partial
@@ -42,10 +43,10 @@
 //! lifecycle: `drain()` waits for everything ingested so far to flow all
 //! the way to the database, `stop()` ends collection early, and
 //! `join()` blocks until the source ends and every module thread exits.
-//! [`ThreadedPipeline::run`] keeps the old batch ergonomics as a
-//! `start(IterSource) + join()` wrapper.
+//! [`ThreadedPipeline::run`] is `start(IterSource) + join()` for an
+//! in-memory `Vec` of any backend's events.
 
-use crate::db::{FlowDatabase, PredictionRecord};
+use crate::db::FlowDatabase;
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::epoch::EpochHandle;
 use crate::event::{LabeledEvent, Telemetry};
@@ -53,15 +54,12 @@ use crate::modules::{Clock, Ingest, LaneCounts, Predictor, Processor, WallClock}
 use crate::source::{BatchPoll, EventSource, IterSource};
 use crate::trainer::{train_bundle, ModelBundle, TrainerConfig};
 use crate::verdict::{RecallCounts, VerdictCounts};
-use amlight_features::sharded::ShardRouter;
 use amlight_features::{
-    FlowTableConfig, PrefilterMode, TriageConfig, TriageCounters, TriageVerdict,
+    FlowTableConfig, PrefilterMode, ShardRouter, TriageConfig, TriageCounters, TriageVerdict,
 };
-use amlight_int::TelemetryReport;
 use amlight_ml::Dataset;
 use amlight_net::{FlowKey, TrafficClass};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -280,13 +278,9 @@ pub struct ThreadedPipeline {
     smoothing_window: usize,
     channel_capacity: usize,
     shards: usize,
-    table: FlowTableConfig,
     adapt: Option<AdaptConfig>,
     prefilter: PrefilterMode,
     triage: TriageConfig,
-    /// Cursor into the database's prediction history for
-    /// [`ThreadedPipeline::new_predictions`].
-    pred_cursor: Mutex<usize>,
 }
 
 impl ThreadedPipeline {
@@ -304,11 +298,9 @@ impl ThreadedPipeline {
             smoothing_window: 3,
             channel_capacity: 1024,
             shards: 1,
-            table: FlowTableConfig::default(),
             adapt: None,
             prefilter: PrefilterMode::Off,
             triage: TriageConfig::default(),
-            pred_cursor: Mutex::new(0),
         }
     }
 
@@ -352,19 +344,13 @@ impl ThreadedPipeline {
     /// Fan ingest across at least `shards` processor shards (rounded up
     /// to a power of two by the router). Per-flow order — and therefore
     /// every per-flow verdict sequence — is independent of the count,
-    /// because a flow always routes to the same shard.
+    /// because a flow always routes to the same shard. Each shard's flow
+    /// table gets the *full* default housekeeping limits (not a split
+    /// budget): shard tables partition the flow space, and keeping
+    /// per-shard limits identical to the single-shard ones is what makes
+    /// shard count observable only as throughput.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Flow-table housekeeping for every processor shard. Each shard
-    /// gets the *full* configuration (not a split budget): shard tables
-    /// partition the flow space, and keeping per-shard limits identical
-    /// to the single-shard ones is what makes shard count observable
-    /// only as throughput.
-    pub fn with_table(mut self, table: FlowTableConfig) -> Self {
-        self.table = table;
         self
     }
 
@@ -372,32 +358,17 @@ impl ThreadedPipeline {
         &self.db
     }
 
-    /// Predictions stored since the previous call — a cursor-based view
-    /// via [`FlowDatabase::predictions_since`], so repeated stats polls
-    /// never re-clone the whole append-only history.
-    pub fn new_predictions(&self) -> Vec<PredictionRecord> {
-        let mut cursor = self.pred_cursor.lock();
-        let (recs, next) = self.db.predictions_since(*cursor);
-        *cursor = next;
-        recs
-    }
-
-    /// Run the full pipeline over an in-memory INT report batch: the
-    /// pre-streaming API, kept as `start(IterSource) + join()`. Blocks
-    /// until every module drains; a panicked module thread surfaces as
+    /// Run the full pipeline over an in-memory `Vec` of events from any
+    /// backend, in the order given: `start(IterSource) + join()`. The
+    /// bundle must be trained on that backend's projection
+    /// ([`crate::event::TelemetryBackend::feature_set`]). Blocks until
+    /// every module drains; a panicked module thread surfaces as
     /// [`RuntimeError`] naming it.
-    pub fn run(&self, reports: Vec<TelemetryReport>) -> Result<ThreadedRunStats, RuntimeError> {
-        self.start(IterSource::from(reports)).join()
-    }
-
-    /// Same batch ergonomics for the sFlow backend: the bundle should be
-    /// trained on the queue-blind projection
-    /// ([`crate::event::TelemetryBackend::Sflow`]'s feature set).
-    pub fn run_samples(
+    pub fn run<E: Into<LabeledEvent>>(
         &self,
-        samples: Vec<amlight_sflow::FlowSample>,
+        events: Vec<E>,
     ) -> Result<ThreadedRunStats, RuntimeError> {
-        self.start(IterSource::from(samples)).join()
+        self.start(IterSource::from(events)).join()
     }
 
     /// Spawn the module threads over a streaming source and return the
@@ -595,14 +566,14 @@ impl ThreadedPipeline {
             .enumerate()
             .map(|(shard_idx, (shard_rx, pool_rx))| {
                 let db = self.db.clone();
-                let table = self.table;
                 let job_tx = job_tx.clone();
                 let defer_tx = defer_tx.clone();
                 let events_pool_tx = events_pool_tx.clone();
                 let in_flight = Arc::clone(&in_flight);
                 std::thread::spawn(move || {
-                    let mut processor = Processor::new(table, db, clock, feature_set)
-                        .with_prefilter(prefilter, triage_cfg);
+                    let mut processor =
+                        Processor::new(FlowTableConfig::default(), db, clock, feature_set)
+                            .with_prefilter(prefilter, triage_cfg);
                     // Both are empty again at the end of every turn.
                     let mut batch = BatchJob::empty(shard_idx);
                     let mut defer = BatchJob::empty(shard_idx);
@@ -1045,7 +1016,7 @@ mod tests {
     use crate::source::ChannelSource;
     use crate::trainer::{dataset_from_events, train_bundle, TrainerConfig};
     use amlight_features::FeatureSet;
-    use amlight_int::{HopMetadata, InstructionSet};
+    use amlight_int::{HopMetadata, InstructionSet, TelemetryReport};
     use amlight_ml::MlpConfig;
     use amlight_net::{Protocol, TrafficClass};
     use std::net::Ipv4Addr;
@@ -1156,7 +1127,9 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let pipe = ThreadedPipeline::new(bundle());
-        let stats = pipe.run(Vec::new()).expect("no module panicked");
+        let stats = pipe
+            .run(Vec::<TelemetryReport>::new())
+            .expect("no module panicked");
         assert_eq!(stats.events_in, 0);
         assert_eq!(stats.predictions, 0);
         assert_eq!(stats.mean_latency_us, 0.0);
@@ -1346,7 +1319,7 @@ mod tests {
         let pipe = ThreadedPipeline::new(bundle()).with_adaptation(adapt);
         let labeled = drifting_capture(600);
         let n = labeled.len() as u64;
-        let handle = pipe.start(crate::source::ReplaySource::from_labeled(&labeled));
+        let handle = pipe.start(crate::source::ReplaySource::new(labeled));
         let stats = handle.join().expect("no module panicked");
 
         // Nothing dropped while the shadow trainer ran.
@@ -1544,7 +1517,7 @@ mod tests {
             .with_prefilter(PrefilterMode::On)
             .with_triage_config(quiet_triage());
         let stats = pipe
-            .start(crate::source::ReplaySource::from_labeled(&labeled))
+            .start(crate::source::ReplaySource::new(labeled))
             .join()
             .expect("no module panicked");
         let t = stats.triage;

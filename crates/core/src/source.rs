@@ -8,23 +8,18 @@
 //! [`LabeledEvent`]s (an INT report *or* an sFlow sample, with optional
 //! ground truth riding along for evaluation runs):
 //!
-//! * [`IterSource`] — any in-memory iterator (the old `Vec` replay path
-//!   is `IterSource::from(vec)`);
+//! * [`IterSource`] — any in-memory iterator, in the order given (a
+//!   `Vec` of any backend's events is `IterSource::from(vec)`);
 //! * [`ChannelSource`] — a bounded crossbeam channel fed by external
 //!   producers; the stream ends when every sender is dropped;
-//! * [`ReplaySource`] — an INT capture replayed in export-time order,
-//!   labels preserved, the shape the experiment binaries feed the
-//!   runtime;
+//! * [`ReplaySource`] — a capture replayed in native-timestamp order,
+//!   labels preserved: INT reports, sFlow samples, PINT digests (bare or
+//!   paired with their ground truth) or the already-erased events
+//!   [`crate::event::TelemetryBackend::derive_view`] hands back — the
+//!   shape the experiment binaries and the CLI feed the runtime;
 //! * [`CollectorSource`] — an [`amlight_int::IntCollector`] adapter that
 //!   decodes a raw sink byte stream chunk by chunk, tolerating split and
 //!   malformed reports exactly like the standalone collector;
-//! * [`SflowReplaySource`] — the sFlow twin of [`ReplaySource`]: labeled
-//!   samples replayed in observation order;
-//! * [`PintReplaySource`] — the PINT twin: labeled k-bit digests
-//!   replayed in export order (derive them from an INT capture with
-//!   [`crate::event::pint_view`]);
-//! * [`EventReplaySource`] — the backend-agnostic form registry-driven
-//!   callers use: any `Vec<LabeledEvent>` replayed in timestamp order;
 //! * [`SflowAgentSource`] — an [`SflowAgent`] driven over a packet
 //!   trace, emitting only the packets the sampling state machine
 //!   selects (the live-agent shape of the paper's sFlow baseline).
@@ -40,9 +35,8 @@
 use crate::event::{LabeledEvent, Telemetry};
 use crate::mailbox::EventMailbox;
 use amlight_int::{IntCollector, TelemetryReport};
-use amlight_net::{PacketRecord, Trace, TrafficClass};
-use amlight_pint::PintReport;
-use amlight_sflow::{FlowSample, SflowAgent};
+use amlight_net::{PacketRecord, Trace};
+use amlight_sflow::SflowAgent;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -149,23 +143,10 @@ where
     }
 }
 
-/// The pre-streaming `Vec` replay paths, one per backend.
-impl From<Vec<TelemetryReport>> for IterSource<std::vec::IntoIter<LabeledEvent>> {
-    fn from(reports: Vec<TelemetryReport>) -> Self {
-        let events: Vec<LabeledEvent> = reports.into_iter().map(LabeledEvent::from).collect();
-        Self::new(events.into_iter())
-    }
-}
-
-impl From<Vec<FlowSample>> for IterSource<std::vec::IntoIter<LabeledEvent>> {
-    fn from(samples: Vec<FlowSample>) -> Self {
-        let events: Vec<LabeledEvent> = samples.into_iter().map(LabeledEvent::from).collect();
-        Self::new(events.into_iter())
-    }
-}
-
-impl From<Vec<LabeledEvent>> for IterSource<std::vec::IntoIter<LabeledEvent>> {
-    fn from(events: Vec<LabeledEvent>) -> Self {
+/// A `Vec` of any backend's events, streamed in the order given.
+impl<E: Into<LabeledEvent>> From<Vec<E>> for IterSource<std::vec::IntoIter<LabeledEvent>> {
+    fn from(events: Vec<E>) -> Self {
+        let events: Vec<LabeledEvent> = events.into_iter().map(Into::into).collect();
         Self::new(events.into_iter())
     }
 }
@@ -201,11 +182,6 @@ impl ChannelSource {
     pub fn bounded(capacity: usize) -> (Sender<LabeledEvent>, Self) {
         let (tx, rx) = bounded(capacity.max(1));
         (tx, Self { rx })
-    }
-
-    /// Wrap an existing receiver.
-    pub fn from_receiver(rx: Receiver<LabeledEvent>) -> Self {
-        Self { rx }
     }
 }
 
@@ -247,140 +223,36 @@ impl EventSource for ChannelSource {
     }
 }
 
-/// Restore a batch of labeled events to native-timestamp order and
-/// stream them once — shared by both backends' replay sources.
-fn replay_order(mut events: Vec<LabeledEvent>) -> std::vec::IntoIter<LabeledEvent> {
-    events.sort_by_key(|e| e.event.event_ns());
-    events.into_iter()
-}
-
-/// Every replay source streams its pre-sorted `events` once.
-macro_rules! replay_event_source {
-    ($($source:ty),+) => {$(
-        impl EventSource for $source {
-            fn poll_event(&mut self) -> SourcePoll {
-                next_boxed(&mut self.events)
-            }
-
-            fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
-                fill(&mut self.events, out, max)
-            }
-        }
-    )+};
-}
-
-replay_event_source!(
-    ReplaySource,
-    SflowReplaySource,
-    PintReplaySource,
-    EventReplaySource
-);
-
-/// An INT capture replay: reports are re-sorted into export-time order
-/// (the order the collector would have emitted them) and streamed once.
-/// Labels survive the trip — [`ReplaySource::from_labeled`] threads the
-/// capture's ground truth into every event, so a streaming run can
-/// report recall directly.
+/// An in-memory capture replay: events from any backend — bare
+/// (`TelemetryReport`, `FlowSample`, `PintReport`), paired with their
+/// ground truth (`(event, TrafficClass)`, the experiment binaries' and
+/// CLI's capture format), or already erased to [`LabeledEvent`] — are
+/// restored to native-timestamp order (the order the collector would
+/// have emitted them; ties keep their input order) and streamed once.
+/// Labels survive the trip, so a streaming run can report recall
+/// directly.
 #[derive(Debug)]
 pub struct ReplaySource {
     events: std::vec::IntoIter<LabeledEvent>,
 }
 
 impl ReplaySource {
-    pub fn new(reports: Vec<TelemetryReport>) -> Self {
+    pub fn new<E: Into<LabeledEvent>>(events: impl IntoIterator<Item = E>) -> Self {
+        let mut events: Vec<LabeledEvent> = events.into_iter().map(Into::into).collect();
+        events.sort_by_key(|e| e.event.event_ns());
         Self {
-            events: replay_order(reports.into_iter().map(LabeledEvent::from).collect()),
-        }
-    }
-
-    /// Replay a labeled capture (the experiment binaries' and CLI's
-    /// on-disk format) with the ground truth riding along.
-    pub fn from_labeled(labeled: &[(TelemetryReport, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(r, c)| LabeledEvent::with_truth(r.clone().into(), *c))
-                    .collect(),
-            ),
+            events: events.into_iter(),
         }
     }
 }
 
-/// The sFlow twin of [`ReplaySource`]: samples replayed in observation
-/// order, labels preserved.
-#[derive(Debug)]
-pub struct SflowReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl SflowReplaySource {
-    pub fn new(samples: Vec<FlowSample>) -> Self {
-        Self {
-            events: replay_order(samples.into_iter().map(LabeledEvent::from).collect()),
-        }
+impl EventSource for ReplaySource {
+    fn poll_event(&mut self) -> SourcePoll {
+        next_boxed(&mut self.events)
     }
 
-    /// Replay labeled samples (e.g. from [`SflowAgent::sample_stream`]
-    /// or [`crate::event::sample_reports`]) with ground truth attached.
-    pub fn from_labeled(labeled: &[(FlowSample, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(s, c)| LabeledEvent::with_truth((*s).into(), *c))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// The PINT twin of [`ReplaySource`]: k-bit digest reports replayed in
-/// export order, labels preserved. Feed it [`crate::event::pint_view`]
-/// to derive the digest stream from an existing INT capture — the PINT
-/// mirror of how [`crate::event::sample_reports`] derives the sFlow
-/// view.
-#[derive(Debug)]
-pub struct PintReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl PintReplaySource {
-    pub fn new(reports: Vec<PintReport>) -> Self {
-        Self {
-            events: replay_order(reports.into_iter().map(LabeledEvent::from).collect()),
-        }
-    }
-
-    /// Replay labeled digests (e.g. from [`crate::event::pint_view`])
-    /// with ground truth attached.
-    pub fn from_labeled(labeled: &[(PintReport, TrafficClass)]) -> Self {
-        Self {
-            events: replay_order(
-                labeled
-                    .iter()
-                    .map(|(r, c)| LabeledEvent::with_truth((*r).into(), *c))
-                    .collect(),
-            ),
-        }
-    }
-}
-
-/// Backend-agnostic replay: any mix of already-labeled events, restored
-/// to native-timestamp order. This is what registry-driven callers use
-/// ([`crate::event::TelemetryBackend::derive_view`] hands back
-/// `Vec<LabeledEvent>` for *any* backend) — no per-backend source type
-/// needed at the call site.
-#[derive(Debug)]
-pub struct EventReplaySource {
-    events: std::vec::IntoIter<LabeledEvent>,
-}
-
-impl EventReplaySource {
-    pub fn new(events: Vec<LabeledEvent>) -> Self {
-        Self {
-            events: replay_order(events),
-        }
+    fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+        fill(&mut self.events, out, max)
     }
 }
 
@@ -629,8 +501,8 @@ mod tests {
     use crate::event::TelemetryEvent;
     use crate::mailbox::OverflowPolicy;
     use amlight_int::{HopMetadata, InstructionSet};
-    use amlight_net::{FlowKey, PacketBuilder, Protocol};
-    use amlight_sflow::SamplingMode;
+    use amlight_net::{FlowKey, PacketBuilder, Protocol, TrafficClass};
+    use amlight_sflow::{FlowSample, SamplingMode};
     use std::net::Ipv4Addr;
 
     fn report(tag: u32) -> TelemetryReport {
@@ -764,43 +636,61 @@ mod tests {
         assert_eq!(src.poll_event(), SourcePoll::End);
     }
 
-    #[test]
-    fn replay_source_orders_by_export_time() {
-        let mut shuffled = vec![report(3), report(1), report(2)];
-        shuffled.swap(0, 2);
-        let mut src = ReplaySource::new(shuffled);
-        let got = int_events(&drain(&mut src));
-        assert_eq!(got, vec![report(1), report(2), report(3)]);
-    }
-
-    #[test]
-    fn replay_source_threads_labels() {
-        let labeled = vec![
-            (report(2), TrafficClass::SynFlood),
-            (report(1), TrafficClass::Benign),
-        ];
-        let mut src = ReplaySource::from_labeled(&labeled);
-        let got = drain(&mut src);
-        assert_eq!(got.len(), 2);
-        // Re-sorted by export time, each event still wearing its label.
-        assert_eq!(got[0].event, TelemetryEvent::Int(report(1)));
-        assert_eq!(got[0].truth, Some(TrafficClass::Benign));
-        assert_eq!(got[1].truth, Some(TrafficClass::SynFlood));
-    }
-
-    #[test]
-    fn sflow_replay_source_orders_and_labels() {
-        let labeled = vec![
-            (sample(5), TrafficClass::SlowLoris),
-            (sample(1), TrafficClass::Benign),
-            (sample(3), TrafficClass::SlowLoris),
-        ];
-        let mut src = SflowReplaySource::from_labeled(&labeled);
-        let got = drain(&mut src);
+    /// One input through the single constructor: native-timestamp order,
+    /// every label still on its event, and both poll methods agreeing.
+    fn assert_replays<E: Into<LabeledEvent> + Clone>(input: &[E], name: &str) {
+        let mut expected: Vec<LabeledEvent> = input.iter().cloned().map(Into::into).collect();
+        expected.sort_by_key(|e| e.event.event_ns());
+        let got = drain(&mut ReplaySource::new(input.iter().cloned()));
+        assert_eq!(got, expected, "{name}");
         let times: Vec<u64> = got.iter().map(|e| e.event.event_ns()).collect();
-        assert_eq!(times, vec![700, 2100, 3500]);
-        assert_eq!(got[0].truth, Some(TrafficClass::Benign));
-        assert_eq!(got[2].truth, Some(TrafficClass::SlowLoris));
+        assert!(times.is_sorted(), "{name}: {times:?}");
+        // 3 leaves a remainder, 7 ends exactly on a batch boundary.
+        for max in [1, 3, 7, 64] {
+            assert_batch_matches_events(
+                ReplaySource::new(input.iter().cloned()),
+                ReplaySource::new(input.iter().cloned()),
+                max,
+            );
+        }
+    }
+
+    #[test]
+    fn replay_source_orders_labels_and_batches_every_backend() {
+        // Shuffled tags, one class per tag so a label that left its event
+        // shows up in the comparison.
+        let tags = [3u32, 6, 1, 0, 5, 2, 4];
+        let class = |tag: u32| TrafficClass::ALL[tag as usize % TrafficClass::ALL.len()];
+        let reports: Vec<_> = tags.iter().map(|&t| report(t)).collect();
+        let samples: Vec<_> = tags.iter().map(|&t| sample(t)).collect();
+        let labeled_reports: Vec<_> = tags.iter().map(|&t| (report(t), class(t))).collect();
+        let labeled_samples: Vec<_> = tags.iter().map(|&t| (sample(t), class(t))).collect();
+        let labeled_digests = crate::event::pint_view(&labeled_reports, 8);
+        let digests: Vec<_> = labeled_digests.iter().map(|(d, _)| *d).collect();
+        let erased: Vec<LabeledEvent> = labeled_samples.iter().cloned().map(Into::into).collect();
+
+        assert_replays(&reports, "INT");
+        assert_replays(&labeled_reports, "INT labeled");
+        assert_replays(&samples, "sFlow");
+        assert_replays(&labeled_samples, "sFlow labeled");
+        assert_replays(&digests, "PINT");
+        assert_replays(&labeled_digests, "PINT labeled");
+        assert_replays(&erased, "erased");
+
+        // The absolute order and labels, spelled out once per backend.
+        let got = drain(&mut ReplaySource::new(labeled_reports));
+        assert_eq!(got[0].event, TelemetryEvent::Int(report(0)));
+        assert_eq!(got[6].event, TelemetryEvent::Int(report(6)));
+        assert_eq!(got[1].truth, Some(class(1)));
+        let got = drain(&mut ReplaySource::new(labeled_samples));
+        let times: Vec<u64> = got.iter().map(|e| e.event.event_ns()).collect();
+        assert_eq!(times, vec![0, 700, 1400, 2100, 2800, 3500, 4200]);
+        assert_eq!(got[5].truth, Some(class(5)));
+        let got = drain(&mut ReplaySource::new(samples));
+        assert!(got.iter().all(|e| e.truth.is_none()));
+        let got = drain(&mut ReplaySource::new(labeled_digests));
+        assert!(matches!(got[0].event, TelemetryEvent::Pint(_)));
+        assert_eq!(got[4].truth, Some(class(4)));
     }
 
     #[test]
@@ -949,44 +839,13 @@ mod tests {
     }
 
     #[test]
-    fn poll_batch_matches_poll_event_for_in_memory_sources() {
+    fn poll_batch_matches_poll_event_for_the_iterator_source() {
         let reports: Vec<_> = (0..7).map(report).collect();
-        let labeled: Vec<_> = reports
-            .iter()
-            .rev()
-            .map(|r| (r.clone(), TrafficClass::Benign))
-            .collect();
-        let samples: Vec<_> = (0..7)
-            .rev()
-            .map(|i| (sample(i), TrafficClass::SlowLoris))
-            .collect();
-        let digests = crate::event::pint_view(&labeled, 8);
-        let events: Vec<LabeledEvent> = reports.iter().cloned().map(Into::into).collect();
         // 3 leaves a remainder, 7 ends exactly on a batch boundary.
         for max in [1, 3, 7, 64] {
             assert_batch_matches_events(
                 IterSource::from(reports.clone()),
                 IterSource::from(reports.clone()),
-                max,
-            );
-            assert_batch_matches_events(
-                ReplaySource::from_labeled(&labeled),
-                ReplaySource::from_labeled(&labeled),
-                max,
-            );
-            assert_batch_matches_events(
-                SflowReplaySource::from_labeled(&samples),
-                SflowReplaySource::from_labeled(&samples),
-                max,
-            );
-            assert_batch_matches_events(
-                PintReplaySource::from_labeled(&digests),
-                PintReplaySource::from_labeled(&digests),
-                max,
-            );
-            assert_batch_matches_events(
-                EventReplaySource::new(events.clone()),
-                EventReplaySource::new(events.clone()),
                 max,
             );
         }

@@ -33,6 +33,27 @@ pub fn dataset_from_events<E: Telemetry>(
     labeled: &[(E, TrafficClass)],
     set: FeatureSet,
 ) -> Dataset {
+    dataset_rows(labeled.iter().map(|(event, class)| (event, *class)), set)
+}
+
+/// Same, over already-erased [`LabeledEvent`]s (what
+/// [`crate::event::TelemetryBackend::derive_view`] produces).
+pub fn dataset_from_labeled(labeled: &[LabeledEvent], set: FeatureSet) -> Dataset {
+    dataset_rows(
+        labeled.iter().map(|ev| {
+            // amlint: cold -- offline training; unlabeled events are a usage error
+            let class = ev.truth.expect("training requires ground-truth labels");
+            (&ev.event, class)
+        }),
+        set,
+    )
+}
+
+/// The row loop behind both dataset builders.
+fn dataset_rows<'a, E: Telemetry + 'a>(
+    labeled: impl ExactSizeIterator<Item = (&'a E, TrafficClass)>,
+    set: FeatureSet,
+) -> Dataset {
     let mut table = FlowTable::new(FlowTableConfig::default());
     let mut triage = sketch_stage_for(set);
     let mut data = Dataset::with_capacity(set.dim(), labeled.len());
@@ -46,29 +67,6 @@ pub fn dataset_from_events<E: Telemetry>(
         }
         buf.clear();
         features.project_into(set, &mut buf);
-        data.push(&buf, class.label());
-    }
-    data
-}
-
-/// Same, over already-erased [`LabeledEvent`]s (what
-/// [`crate::event::TelemetryBackend::derive_view`] produces).
-pub fn dataset_from_labeled(labeled: &[LabeledEvent], set: FeatureSet) -> Dataset {
-    let mut table = FlowTable::new(FlowTableConfig::default());
-    let mut triage = sketch_stage_for(set);
-    let mut data = Dataset::with_capacity(set.dim(), labeled.len());
-    let mut buf = Vec::with_capacity(set.dim());
-    for ev in labeled {
-        let update = ev.event.flow_update();
-        let (_, rec) = table.apply(&update);
-        let mut features = rec.features();
-        if let Some(stage) = triage.as_mut() {
-            features.set(FeatureId::SketchScore, stage.assess(&update, rec).score);
-        }
-        buf.clear();
-        features.project_into(set, &mut buf);
-        // amlint: cold -- offline training; unlabeled events are a usage error
-        let class = ev.truth.expect("training requires ground-truth labels");
         data.push(&buf, class.label());
     }
     data

@@ -28,7 +28,7 @@ pub mod table;
 pub mod triage;
 pub mod vector;
 
-pub use sharded::{ShardRouter, ShardedFlowTable, ShardedUpdate};
+pub use sharded::ShardRouter;
 pub use stats::StreamingStats;
 pub use table::{FlowRecord, FlowTable, FlowTableConfig, FlowUpdate, UpdateKind};
 pub use triage::{

@@ -1,18 +1,15 @@
-//! Sharded, data-parallel flow processing — the "faster processing
-//! capabilities" the paper's §V calls for before production deployment.
+//! Flow-hash shard routing — the "faster processing capabilities" the
+//! paper's §V calls for before production deployment.
 //!
 //! The flow table is an associative map keyed by the five-tuple, so it
-//! shards perfectly: hash each report's flow key to a shard, process the
-//! shards in parallel with rayon, and no lock is ever contended (each
-//! shard is owned by exactly one worker per batch). Per-flow update
-//! order is preserved because a flow always lands in the same shard and
-//! shard-local processing is sequential.
+//! shards perfectly: hash each event's flow key to a shard, give every
+//! shard its own [`crate::FlowTable`] on its own thread, and no lock is
+//! ever contended. Per-flow update order is preserved because a flow
+//! always lands in the same shard and shard-local processing is
+//! sequential.
 
-use crate::table::{FlowTable, FlowTableConfig, FlowUpdate, UpdateKind};
-use crate::vector::FeatureVector;
 use amlight_net::flow::FnvBuildHasher;
 use amlight_net::FlowKey;
-use rayon::prelude::*;
 use std::hash::BuildHasher;
 
 /// Routes flow keys to shards with a bitmask over the FNV hash.
@@ -20,10 +17,8 @@ use std::hash::BuildHasher;
 /// The shard count is always a power of two (requests are rounded up),
 /// so routing is `hash & mask` instead of an integer modulo — the
 /// division would otherwise sit in the per-report hot path of every
-/// sharded consumer. Shared by [`ShardedFlowTable`], the core crate's
-/// `BatchDetector`, and the threaded runtime's collection→shard fan-out
-/// (`ThreadedPipeline::with_shards`), so all consumers route a given
-/// flow identically.
+/// sharded consumer. The threaded runtime's collection→shard fan-out
+/// (`ThreadedPipeline::with_shards`) routes with it.
 #[derive(Debug, Clone, Default)]
 pub struct ShardRouter {
     hasher: FnvBuildHasher,
@@ -53,300 +48,36 @@ impl ShardRouter {
     }
 }
 
-/// The outcome of one report's ingest, in input order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardedUpdate {
-    pub kind: UpdateKind,
-    pub features: FeatureVector,
-    /// Per-flow update counter after this ingest.
-    pub update_seq: u64,
-}
-
-/// Per-shard routing and result scratch, retained across batches so the
-/// steady-state batch path performs no allocations (capacities grow to
-/// the high-water mark once, then are reused).
-#[derive(Debug, Default)]
-struct ShardScratch {
-    /// Input indices routed to this shard, in input order.
-    idxs: Vec<u32>,
-    /// This shard's `(input index, update)` results.
-    out: Vec<(u32, ShardedUpdate)>,
-}
-
-/// A flow table split into independently processed shards.
-#[derive(Debug)]
-pub struct ShardedFlowTable {
-    shards: Vec<FlowTable>,
-    scratch: Vec<ShardScratch>,
-    router: ShardRouter,
-}
-
-impl ShardedFlowTable {
-    /// `shards` should be ≥ the worker count; the count is rounded up to
-    /// a power of two so routing is a bitmask, not a modulo.
-    pub fn new(cfg: FlowTableConfig, shards: usize) -> Self {
-        let router = ShardRouter::new(shards);
-        let shards = router.shard_count();
-        // Split the global flow budget across shards.
-        let per_shard = FlowTableConfig {
-            max_flows: (cfg.max_flows / shards).max(16),
-            ..cfg
-        };
-        Self {
-            shards: (0..shards).map(|_| FlowTable::new(per_shard)).collect(),
-            scratch: (0..shards).map(|_| ShardScratch::default()).collect(),
-            router,
-        }
-    }
-
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(FlowTable::len).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(FlowTable::is_empty)
-    }
-
-    pub fn created(&self) -> u64 {
-        self.shards.iter().map(FlowTable::created).sum()
-    }
-
-    pub fn updated(&self) -> u64 {
-        self.shards.iter().map(FlowTable::updated).sum()
-    }
-
-    /// Ingest a batch of normalized updates in parallel. Results come
-    /// back in input order; per-flow sequencing is exactly what
-    /// sequential ingest would produce.
-    pub fn apply_batch(&mut self, updates: &[FlowUpdate]) -> Vec<ShardedUpdate> {
-        let mut results = Vec::new();
-        self.apply_batch_into(updates, &mut results);
-        results
-    }
-
-    /// Scratch-reusing form of [`ShardedFlowTable::apply_batch`]:
-    /// writes the input-ordered results into `results` (cleared first).
-    /// Routing and per-shard result buffers persist inside `self`, so a
-    /// steady-state caller that also reuses `results` allocates nothing.
-    // amlint: hot
-    // amlint: allow(R8) -- indices come from enumerate(); route() is masked by the shard count
-    pub fn apply_batch_into(&mut self, updates: &[FlowUpdate], results: &mut Vec<ShardedUpdate>) {
-        // Route: per shard, the input indices it owns (order-preserving).
-        for s in &mut self.scratch {
-            s.idxs.clear();
-            s.out.clear();
-        }
-        for (i, u) in updates.iter().enumerate() {
-            // amlint: cold -- retained scratch, grows to high-water mark once
-            self.scratch[self.router.route(u.flow)].idxs.push(i as u32);
-        }
-
-        // Process each shard sequentially, shards in parallel.
-        self.shards
-            .par_iter_mut()
-            .zip(self.scratch.par_iter_mut())
-            .for_each(|(table, scratch)| {
-                for &i in &scratch.idxs {
-                    let (kind, rec) = table.apply(&updates[i as usize]);
-                    // amlint: cold -- retained scratch, grows to high-water mark once
-                    scratch.out.push((
-                        i,
-                        ShardedUpdate {
-                            kind,
-                            features: rec.features(),
-                            update_seq: rec.update_seq,
-                        },
-                    ));
-                }
-            });
-
-        // Scatter back to input order into a pre-sized buffer. Every slot
-        // is overwritten: the routing loop above assigns each input index
-        // to exactly one shard, and each shard echoes back exactly the
-        // indices it was routed.
-        results.clear();
-        // amlint: cold -- caller-owned buffer, reused across batches
-        results.resize(
-            updates.len(),
-            ShardedUpdate {
-                kind: UpdateKind::Created,
-                features: FeatureVector::default(),
-                update_seq: 0,
-            },
-        );
-        for shard in &self.scratch {
-            for &(i, u) in &shard.out {
-                results[i as usize] = u;
-            }
-        }
-    }
-
-    /// Evict idle flows across all shards (parallel). Returns the total
-    /// evicted.
-    pub fn evict_idle(&mut self, now_ns: u64) -> usize {
-        self.shards
-            .par_iter_mut()
-            .map(|t| t.evict_idle(now_ns))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amlight_net::{FlowKey, Protocol};
+    use amlight_net::Protocol;
     use std::net::Ipv4Addr;
 
-    fn report(port: u16, t_ns: u64, len: u16) -> FlowUpdate {
-        FlowUpdate {
-            flow: FlowKey::new(
-                Ipv4Addr::new(10, 0, 0, 1),
-                Ipv4Addr::new(10, 0, 0, 2),
-                port,
-                80,
-                Protocol::Tcp,
-            ),
-            now_ns: t_ns,
-            len,
-            stamp32: Some((t_ns as u32).wrapping_add(500)),
-            observed_ns: None,
-            queue_occupancy: Some(0),
-        }
-    }
-
-    fn batch(n: u64, flows: u16) -> Vec<FlowUpdate> {
-        (0..n)
-            .map(|i| {
-                report(
-                    1000 + (i % u64::from(flows)) as u16,
-                    i * 1_000,
-                    100 + (i % 7) as u16,
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn matches_sequential_processing_exactly() {
-        let reports = batch(5_000, 64);
-
-        let mut sequential = FlowTable::new(FlowTableConfig::default());
-        let seq_out: Vec<(UpdateKind, FeatureVector, u64)> = reports
-            .iter()
-            .map(|r| {
-                let (k, rec) = sequential.apply(r);
-                (k, rec.features(), rec.update_seq)
-            })
-            .collect();
-
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 8);
-        let par_out = sharded.apply_batch(&reports);
-
-        assert_eq!(par_out.len(), seq_out.len());
-        for (p, (k, f, u)) in par_out.iter().zip(&seq_out) {
-            assert_eq!(p.kind, *k);
-            assert_eq!(p.update_seq, *u);
-            assert_eq!(&p.features, f);
-        }
-        assert_eq!(sharded.len(), sequential.len());
-        assert_eq!(sharded.created(), sequential.created());
-        assert_eq!(sharded.updated(), sequential.updated());
-    }
-
-    #[test]
-    fn single_shard_degenerates_to_plain_table() {
-        let reports = batch(500, 16);
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 1);
-        let out = sharded.apply_batch(&reports);
-        assert_eq!(out.len(), 500);
-        assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.len(), 16);
-    }
-
-    #[test]
-    fn results_are_in_input_order() {
-        let reports = batch(1_000, 32);
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 4);
-        let out = sharded.apply_batch(&reports);
-        // The first occurrence of each flow must be Created, later ones
-        // Updated, in input order.
-        let mut seen = std::collections::HashSet::new();
-        for (r, u) in reports.iter().zip(&out) {
-            if seen.insert(r.flow) {
-                assert_eq!(u.kind, UpdateKind::Created);
-            } else {
-                assert_eq!(u.kind, UpdateKind::Updated);
-            }
-        }
-    }
-
-    #[test]
-    fn multiple_batches_continue_state() {
-        let reports = batch(600, 8);
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 4);
-        let first = sharded.apply_batch(&reports[..300]);
-        let second = sharded.apply_batch(&reports[300..]);
-        // Flow state persists: second batch has no creations (all 8 flows
-        // appeared in the first 300 reports).
-        assert!(first.iter().any(|u| u.kind == UpdateKind::Created));
-        assert!(second.iter().all(|u| u.kind == UpdateKind::Updated));
-        assert_eq!(sharded.created(), 8);
-    }
-
-    #[test]
-    fn into_variant_reuses_results_buffer() {
-        let reports = batch(900, 24);
-        let mut fresh = ShardedFlowTable::new(FlowTableConfig::default(), 4);
-        let expected = fresh.apply_batch(&reports);
-
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 4);
-        let mut results = Vec::new();
-        // Stale oversized content must be fully replaced, not appended to.
-        sharded.apply_batch_into(&reports[..600], &mut results);
-        assert_eq!(results.len(), 600);
-        let cap = results.capacity();
-        sharded.apply_batch_into(&reports[600..], &mut results);
-        assert_eq!(results.len(), 300);
-        assert_eq!(results.capacity(), cap, "buffer reused, not reallocated");
-
-        // Same state evolution as the one-shot batch path.
-        let mut replay = ShardedFlowTable::new(FlowTableConfig::default(), 4);
-        let mut out = Vec::new();
-        replay.apply_batch_into(&reports, &mut out);
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn parallel_eviction_sums_shards() {
-        let mut sharded = ShardedFlowTable::new(
-            FlowTableConfig {
-                idle_timeout_ns: 1_000,
-                max_flows: 1_000,
-            },
-            4,
-        );
-        sharded.apply_batch(&batch(100, 50));
-        let evicted = sharded.evict_idle(10_000_000_000);
-        assert_eq!(evicted, 50);
-        assert!(sharded.is_empty());
+    fn key(port: u16) -> FlowKey {
+        FlowKey::new(
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(10, 0, 0, 2),
+            port,
+            80,
+            Protocol::Tcp,
+        )
     }
 
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        ShardedFlowTable::new(FlowTableConfig::default(), 0);
+        ShardRouter::new(0);
     }
 
     #[test]
     fn shard_count_rounds_up_to_power_of_two() {
         for (requested, actual) in [(1, 1), (2, 2), (3, 4), (5, 8), (8, 8), (9, 16)] {
-            let t = ShardedFlowTable::new(FlowTableConfig::default(), requested);
-            assert_eq!(t.shard_count(), actual, "requested {requested}");
-            assert_eq!(ShardRouter::new(requested).shard_count(), actual);
+            assert_eq!(
+                ShardRouter::new(requested).shard_count(),
+                actual,
+                "requested {requested}"
+            );
         }
     }
 
@@ -356,27 +87,10 @@ mod tests {
         // `hash % count` — the routing change is pure strength reduction.
         let router = ShardRouter::new(8);
         let hasher = FnvBuildHasher::default();
-        for i in 0..200u64 {
-            let key = report(1000 + (i % 64) as u16, i, 100).flow;
+        for i in 0..200u16 {
+            let key = key(1000 + i % 64);
             let h = hasher.hash_one(key);
             assert_eq!(router.route(key), (h % 8) as usize);
-        }
-    }
-
-    #[test]
-    fn non_pow2_request_still_matches_sequential() {
-        let reports = batch(2_000, 48);
-        let mut sequential = FlowTable::new(FlowTableConfig::default());
-        let seq_out: Vec<u64> = reports
-            .iter()
-            .map(|r| sequential.apply(r).1.update_seq)
-            .collect();
-        // Requesting 6 shards yields 8; semantics must be unchanged.
-        let mut sharded = ShardedFlowTable::new(FlowTableConfig::default(), 6);
-        assert_eq!(sharded.shard_count(), 8);
-        let out = sharded.apply_batch(&reports);
-        for (u, seq) in out.iter().zip(&seq_out) {
-            assert_eq!(u.update_seq, *seq);
         }
     }
 }

@@ -20,7 +20,6 @@
 //! ```
 
 use amlight::core::runtime::ThreadedPipeline;
-use amlight::core::source::EventReplaySource;
 use amlight::core::trainer::dataset_from_labeled;
 use amlight::net::TrafficClass;
 use amlight::prelude::*;
@@ -81,7 +80,7 @@ fn main() {
             &TrainerConfig::default(),
         );
         let pipe = ThreadedPipeline::new(bundle).with_shards(2);
-        let handle = pipe.start(EventReplaySource::new(view));
+        let handle = pipe.start(ReplaySource::new(view));
         let stats = match handle.join() {
             Ok(s) => s,
             Err(e) => {

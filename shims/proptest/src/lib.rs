@@ -175,7 +175,7 @@ pub mod collection {
     use super::{SmallRng, Strategy};
     use rand::Rng;
 
-    /// Accepted length specs for [`vec`]: `n`, `a..b`, `a..=b`.
+    /// Accepted length specs for [`vec()`]: `n`, `a..b`, `a..=b`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {
         min: usize,

@@ -36,7 +36,6 @@ pub use amlight_traffic as traffic;
 /// Commonly used types, one `use` away.
 pub mod prelude {
     pub use amlight_core::{
-        batch::{BatchDetector, BatchOutcome},
         db::FlowDatabase,
         event::{
             pint_view, sample_reports, LabeledEvent, Telemetry, TelemetryBackend, TelemetryEvent,
@@ -45,10 +44,7 @@ pub mod prelude {
         guard::{CountMinSketch, FloodAlert, GuardConfig, NewFlowGuard},
         pipeline::{DetectionPipeline, PipelineConfig, PipelineReport},
         runtime::ThreadedPipeline,
-        source::{
-            EventReplaySource, EventSource, PintReplaySource, ReplaySource, SflowAgentSource,
-            SflowReplaySource,
-        },
+        source::{EventSource, ReplaySource, SflowAgentSource},
         testbed::{Testbed, TestbedConfig},
         trainer::{
             dataset_from_events, dataset_from_labeled, train_bundle, ModelBundle, TrainerConfig,
@@ -56,8 +52,8 @@ pub mod prelude {
         verdict::{RecallCounts, SmoothingWindow, Verdict},
     };
     pub use amlight_features::{
-        FeatureSet, FeatureVector, FlowTable, FlowTableConfig, PrefilterMode, ShardedFlowTable,
-        TriageConfig, TriageStage, TriageVerdict,
+        FeatureSet, FeatureVector, FlowTable, FlowTableConfig, PrefilterMode, TriageConfig,
+        TriageStage, TriageVerdict,
     };
     pub use amlight_ingest::{IngestServer, IngestStats, ListenerConfig, WireProtocol};
     pub use amlight_int::{

@@ -254,7 +254,7 @@ fn threaded_batches_store_the_verdict_sequences_run_sync_stores() {
     for shards in [1usize, 2, 8] {
         let threaded = ThreadedPipeline::new(bundle.clone()).with_shards(shards);
         let stats = threaded
-            .start(ReplaySource::from_labeled(&labeled))
+            .start(ReplaySource::new(labeled.iter().cloned()))
             .join()
             .expect("no module thread panicked");
         assert_eq!(stats.events_in, labeled.len() as u64);

@@ -4,7 +4,7 @@
 
 use amlight::core::event::{pint_view, sample_reports, Telemetry};
 use amlight::core::runtime::ThreadedPipeline;
-use amlight::core::source::{ChannelSource, CollectorSource, PintReplaySource, ReplaySource};
+use amlight::core::source::{ChannelSource, CollectorSource, ReplaySource};
 use amlight::core::trainer::{dataset_from_events, train_bundle, ModelBundle, TrainerConfig};
 use amlight::features::{
     FeatureId, FeatureSet, FlowTable, FlowTableConfig, FlowUpdate, UpdateKind,
@@ -235,7 +235,7 @@ fn replay_source_runs_labeled_captures_and_reports_recall() {
     let n = labeled.len() as u64;
     let pipe = ThreadedPipeline::new(bundle());
     let stats = pipe
-        .start(ReplaySource::from_labeled(&labeled))
+        .start(ReplaySource::new(labeled.iter().cloned()))
         .join()
         .expect("no module thread panicked");
     assert_eq!(stats.events_in, n);
@@ -435,7 +435,7 @@ fn sflow_shard_count_is_invisible_to_verdicts() {
     for shards in [1usize, 2, 8] {
         let pipe = ThreadedPipeline::new(b.clone()).with_shards(shards);
         let stats = pipe
-            .run_samples(test_samples.clone())
+            .run(test_samples.clone())
             .expect("no module thread panicked");
         assert_eq!(
             stats.events_in,
@@ -479,7 +479,7 @@ fn pint_shard_count_is_invisible_to_verdicts() {
     for shards in [1usize, 2, 8] {
         let pipe = ThreadedPipeline::new(b.clone()).with_shards(shards);
         let stats = pipe
-            .start(PintReplaySource::new(test_reports.clone()))
+            .start(ReplaySource::new(test_reports.clone()))
             .join()
             .expect("no module thread panicked");
         assert_eq!(
