@@ -32,14 +32,15 @@
 //! invariant that only holds if every load observes a fully-published
 //! bundle) while a writer publishes in a storm.
 //!
-//! Writes `BENCH_drift.json` at the repo root. `--check` turns the
-//! acceptance gates into process failures: adaptive recall ≥ frozen
-//! recall, ≥1 retrain actually published, zero dropped events in both
-//! runs, zero torn reads, zero reader-path allocations.
+//! A full run writes `BENCH_drift.json` at the repo root (a `--fast`
+//! smoke run writes nothing). `--check` turns the acceptance gates into
+//! process failures: adaptive recall ≥ frozen recall, ≥1 retrain
+//! actually published, zero dropped events in both runs, zero torn
+//! reads, zero reader-path allocations.
 //!
 //! Usage: `bench_drift [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast};
+use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
 use amlight_core::epoch::EpochHandle;
 use amlight_core::runtime::{AdaptConfig, ThreadedPipeline};
 use amlight_core::source::ReplaySource;
@@ -475,16 +476,7 @@ fn main() {
         swap,
         torn_audit,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_drift.json", json) {
-                eprintln!("warn: cannot write BENCH_drift.json: {e}");
-            } else {
-                eprintln!("(wrote BENCH_drift.json)");
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize report: {e}"),
-    }
+    write_bench_artifact("drift", &report, fast);
 
     if check {
         let mut failed = false;

@@ -20,12 +20,18 @@
 //! [`stats_alloc::Region`]: after warm-up the triage path must not
 //! allocate at all (the R6 static-allocation invariant, measured).
 //!
-//! Writes `BENCH_prefilter.json` at the repo root. `--check` turns the
-//! three gates into process failures.
+//! Quality only: what the gate costs or saves in wall-clock time is
+//! `bench_e2e`'s `day_triage` against `day`, measured on the real
+//! wire-to-verdict path.
+//!
+//! A full run writes `BENCH_prefilter.json` at the repo root; a `--fast`
+//! smoke run prints and gates but writes nothing, so it can never
+//! become, or clobber, the committed artifact. `--check` turns the three
+//! gates into process failures.
 //!
 //! Usage: `bench_prefilter [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast};
+use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
 use amlight_core::event::Telemetry;
 use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::source::ReplaySource;
@@ -40,7 +46,6 @@ use amlight_net::{FlowKey, TrafficClass};
 use amlight_traffic::{AttackKind, TrafficMix, TrafficMixConfig};
 use serde::Serialize;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Counting allocator for the zero-steady-state-allocation gate.
 #[global_allocator]
@@ -61,11 +66,6 @@ struct ModeRecord {
     /// Updates the triage scorer graded (0 when the stage is off).
     scored: u64,
     alarm_windows: u64,
-    wall_ms: f64,
-    events_per_s: f64,
-    /// Wall-clock registration→prediction latency over evaluated updates.
-    mean_latency_us: f64,
-    max_latency_us: f64,
     /// Per-update recall over the updates the Predictor evaluated.
     update_recall: f64,
     false_alarm_rate: f64,
@@ -87,7 +87,6 @@ struct AllocRecord {
 struct PrefilterBenchReport {
     seed: u64,
     fast: bool,
-    host_cpus: usize,
     /// Capture restricted to Table I SYN-flood episode windows.
     flood: Vec<ModeRecord>,
     /// The full two-day Table I capture.
@@ -112,12 +111,10 @@ fn run_mode(
     let pipe = ThreadedPipeline::new(bundle.clone())
         .with_shards(1)
         .with_prefilter(mode);
-    let t0 = Instant::now();
     let stats = pipe
         .start(ReplaySource::new(labeled.iter().cloned()))
         .join()
         .expect("no module thread panicked");
-    let wall = t0.elapsed().as_secs_f64();
 
     let seqs = pipe.database().verdict_sequences();
     let flagged = attack_flows
@@ -136,10 +133,6 @@ fn run_mode(
         shed: t.shed,
         scored: t.would.scored,
         alarm_windows: t.would.alarm_windows,
-        wall_ms: wall * 1e3,
-        events_per_s: stats.events_in as f64 / wall.max(1e-9),
-        mean_latency_us: stats.mean_latency_us,
-        max_latency_us: stats.max_latency_us,
         update_recall: stats.labeled.recall(),
         false_alarm_rate: stats.labeled.false_alarm_rate(),
         attack_flows: attack_flows.len() as u64,
@@ -154,7 +147,7 @@ fn run_mode(
 
 fn print_record(r: &ModeRecord) {
     println!(
-        "{:<8} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>10.0} {:>8.3} {:>8.3}",
+        "{:<8} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>8.3} {:>8.3}",
         r.mode,
         r.events_in,
         r.predictions,
@@ -162,7 +155,6 @@ fn print_record(r: &ModeRecord) {
         r.deferred,
         r.dropped,
         r.shed,
-        r.events_per_s,
         r.update_recall,
         r.flow_recall,
     );
@@ -189,17 +181,8 @@ fn run_replay(
         attack_flows.len()
     ));
     println!(
-        "{:<8} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>10} {:>8} {:>8}",
-        "mode",
-        "events",
-        "predicted",
-        "forward",
-        "defer",
-        "drop",
-        "shed",
-        "events/s",
-        "recall",
-        "flows",
+        "{:<8} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>8} {:>8}",
+        "mode", "events", "predicted", "forward", "defer", "drop", "shed", "recall", "flows",
     );
     [PrefilterMode::Off, PrefilterMode::Shadow, PrefilterMode::On]
         .iter()
@@ -240,9 +223,6 @@ fn main() {
     let fast = flag_fast();
     let check = std::env::args().any(|a| a == "--check");
     let seed = arg_seed(20825);
-    let host_cpus = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let day_len = if fast { 4 } else { 10 };
     let lab = Testbed::new(TestbedConfig::default());
 
@@ -296,7 +276,6 @@ fn main() {
     let report = PrefilterBenchReport {
         seed,
         fast,
-        host_cpus,
         flood,
         day,
         reduction_under_flood: reduction,
@@ -305,16 +284,7 @@ fn main() {
         recall_delta,
         alloc,
     };
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write("BENCH_prefilter.json", json) {
-                eprintln!("warn: cannot write BENCH_prefilter.json: {e}");
-            } else {
-                eprintln!("(wrote BENCH_prefilter.json)");
-            }
-        }
-        Err(e) => eprintln!("warn: cannot serialize report: {e}"),
-    }
+    write_bench_artifact("prefilter", &report, fast);
 
     if check {
         let mut failed = false;

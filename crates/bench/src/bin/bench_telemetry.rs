@@ -22,9 +22,9 @@
 //!
 //! `--check` re-reads the committed `results/telemetry.json` and
 //! validates its schema and the frontier ordering without running
-//! anything — the CI drift gate.
+//! anything — the CI drift gate. It refuses a file a `--fast` run wrote.
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, results_dir, write_json};
+use amlight_bench::util::{arg_seed, banner, flag_fast, require_full_run, results_dir, write_json};
 use amlight_core::event::{TelemetryBackend, ViewOptions};
 use amlight_core::runtime::{ThreadedPipeline, ThreadedRunStats};
 use amlight_core::source::{EventSource, ReplaySource};
@@ -190,6 +190,7 @@ fn check_committed() -> Result<(), String> {
     let path = results_dir().join("telemetry.json");
     let json = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    require_full_run(&json).map_err(|e| format!("{}: {e}", path.display()))?;
     let report: TelemetryReportJson = serde_json::from_str(&json)
         .map_err(|e| format!("schema drift in {}: {e}", path.display()))?;
     gate(&report)?;

@@ -2,7 +2,7 @@
 //! tables and figures.
 //!
 //! Each `repro_*` binary in `src/bin/` is a thin wrapper over a function
-//! here; Criterion microbenches live in `benches/`. See DESIGN.md §4 for
+//! here; the one Criterion bench lives in `benches/`. See DESIGN.md §4 for
 //! the experiment index and EXPERIMENTS.md for recorded results.
 
 // Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.

@@ -7,106 +7,24 @@
 //! as a *flow-creation rate* anomaly at the victim address.
 //!
 //! This module adds that complementary detector: a count-min sketch
-//! tallies flow creations per destination per epoch; an EWMA baseline
-//! per alerting destination turns "this epoch created 400× the usual
-//! number of flows toward 10.0.0.2" into an alert. Sketching keeps the
-//! state O(width × depth) regardless of how many addresses a spoofed
+//! (the workspace's one sketch, [`WindowedCountMin`], cleared at every
+//! epoch) tallies flow creations per destination per epoch; an EWMA
+//! baseline per alerting destination turns "this epoch created 400× the
+//! usual number of flows toward 10.0.0.2" into an alert. Sketching keeps
+//! the state O(width × depth) regardless of how many addresses a spoofed
 //! flood touches — the same reason production scrubbers sketch.
+//!
+//! The alarm itself is deliberately *not* folded into
+//! [`amlight_features::TriageStage`]'s aggregate alarm: that one seeds its
+//! calm baseline from the first window it sees, so ablation 4's
+//! flood-from-t=0 would read as calm and raise nothing, where this guard
+//! (baseline 0, absolute floor) alerts. Merging the two is a behaviour
+//! change and belongs with ROADMAP item 2's gate verdicts.
 
+use amlight_features::WindowedCountMin;
 use amlight_net::flow::FnvHashMap;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-
-/// A count-min sketch over `u64`-hashable keys.
-///
-/// Estimates are biased upward (never under), bounded by
-/// `true + ε·total` with ε = e/width at confidence 1 − e^−depth.
-///
-/// ```
-/// use amlight_core::guard::CountMinSketch;
-///
-/// let mut sketch = CountMinSketch::new(256, 4);
-/// for _ in 0..42 {
-///     sketch.increment(0xDD05_u64, 1);
-/// }
-/// assert!(sketch.estimate(0xDD05_u64) >= 42); // never underestimates
-/// assert_eq!(sketch.estimate(0x1234), 0);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CountMinSketch {
-    width: usize,
-    depth: usize,
-    counters: Vec<u32>,
-    total: u64,
-}
-
-impl CountMinSketch {
-    pub fn new(width: usize, depth: usize) -> Self {
-        assert!(width >= 2 && depth >= 1, "degenerate sketch dimensions");
-        Self {
-            width,
-            depth,
-            counters: vec![0; width * depth],
-            total: 0,
-        }
-    }
-
-    /// ~1% overestimate at 99.9% confidence for typical epoch volumes.
-    pub fn for_flow_counting() -> Self {
-        Self::new(2048, 4)
-    }
-
-    #[inline]
-    fn cell(&self, row: usize, key: u64) -> usize {
-        // Row-seeded multiply-shift hashing; odd multipliers.
-        const SEEDS: [u64; 8] = [
-            0x9e37_79b9_7f4a_7c15,
-            0xc2b2_ae3d_27d4_eb4f,
-            0x1656_67b1_9e37_79f9,
-            0x27d4_eb2f_1656_67c5,
-            0x1234_5678_9abc_def1,
-            0xdead_beef_cafe_4321,
-            0x0fed_cba9_8765_4321,
-            0x9876_5432_1fed_cba9,
-        ];
-        let h = key
-            .wrapping_mul(SEEDS[row % SEEDS.len()])
-            .rotate_left(17)
-            .wrapping_mul(SEEDS[(row + 3) % SEEDS.len()]);
-        row * self.width + (h % self.width as u64) as usize
-    }
-
-    /// Add `count` to `key`; returns the new (over-)estimate.
-    pub fn increment(&mut self, key: u64, count: u32) -> u32 {
-        self.total += u64::from(count);
-        let mut est = u32::MAX;
-        for row in 0..self.depth {
-            let c = self.cell(row, key);
-            self.counters[c] = self.counters[c].saturating_add(count);
-            est = est.min(self.counters[c]);
-        }
-        est
-    }
-
-    /// Point estimate (minimum over rows).
-    pub fn estimate(&self, key: u64) -> u32 {
-        (0..self.depth)
-            .map(|row| self.counters[self.cell(row, key)])
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Total increments since the last clear.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Reset all counters (start of a new epoch).
-    pub fn clear(&mut self) {
-        self.counters.fill(0);
-        self.total = 0;
-    }
-}
 
 /// One flood alert.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,7 +65,7 @@ impl Default for GuardConfig {
 #[derive(Debug)]
 pub struct NewFlowGuard {
     cfg: GuardConfig,
-    sketch: CountMinSketch,
+    sketch: WindowedCountMin,
     epoch_start_ns: u64,
     /// Destinations that created flows this epoch (bounded: one entry per
     /// *victim*, not per spoofed source).
@@ -160,7 +78,9 @@ impl NewFlowGuard {
     pub fn new(cfg: GuardConfig) -> Self {
         Self {
             cfg,
-            sketch: CountMinSketch::for_flow_counting(),
+            // ~1% overestimate at 99.9% confidence for typical epoch
+            // volumes.
+            sketch: WindowedCountMin::new(2048, 4),
             epoch_start_ns: 0,
             active_dsts: FnvHashMap::default(),
             baselines: FnvHashMap::default(),
@@ -179,14 +99,15 @@ impl NewFlowGuard {
             self.close_epoch();
             self.epoch_start_ns += self.cfg.epoch_ns;
         }
-        self.sketch.increment(Self::key(dst), 1);
+        self.sketch.observe(Self::key(dst));
         self.active_dsts.entry(dst).or_insert(());
     }
 
     fn close_epoch(&mut self) {
         let dsts: Vec<Ipv4Addr> = self.active_dsts.keys().copied().collect();
         for dst in dsts {
-            let count = self.sketch.estimate(Self::key(dst));
+            let estimate = self.sketch.estimate(Self::key(dst));
+            let count = u32::try_from(estimate).unwrap_or(u32::MAX);
             let baseline = self.baselines.entry(dst).or_insert(0.0);
             let threshold = (*baseline * self.cfg.factor).max(f64::from(self.cfg.min_flows));
             if f64::from(count) > threshold {
@@ -226,47 +147,6 @@ impl NewFlowGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sketch_never_underestimates() {
-        let mut s = CountMinSketch::new(64, 4);
-        for k in 0..1000u64 {
-            s.increment(k, (k % 5) as u32 + 1);
-        }
-        for k in 0..1000u64 {
-            assert!(s.estimate(k) > (k % 5) as u32, "key {k}");
-        }
-    }
-
-    #[test]
-    fn sketch_is_accurate_when_roomy() {
-        let mut s = CountMinSketch::for_flow_counting();
-        for k in 0..100u64 {
-            for _ in 0..(k + 1) {
-                s.increment(k, 1);
-            }
-        }
-        for k in 0..100u64 {
-            let est = s.estimate(k);
-            assert!(est as u64 <= k + 1 + 3, "key {k} est {est}");
-        }
-        assert_eq!(s.total(), (1..=100).sum::<u64>());
-    }
-
-    #[test]
-    fn sketch_clear_resets() {
-        let mut s = CountMinSketch::new(16, 2);
-        s.increment(7, 100);
-        s.clear();
-        assert_eq!(s.estimate(7), 0);
-        assert_eq!(s.total(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate")]
-    fn degenerate_sketch_rejected() {
-        CountMinSketch::new(1, 0);
-    }
 
     fn dst() -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, 2)

@@ -59,16 +59,16 @@ pub use event::{
     pint_view, sample_reports, LabeledEvent, Telemetry, TelemetryBackend, TelemetryEvent,
     ViewOptions,
 };
-pub use guard::{CountMinSketch, FloodAlert, GuardConfig, NewFlowGuard};
-pub use mailbox::{EventMailbox, OverflowPolicy};
+pub use guard::{FloodAlert, GuardConfig, NewFlowGuard};
+pub use mailbox::EventMailbox;
 pub use modules::{
     Aggregator, Clock, Ingest, JudgedUpdate, Predictor, Processor, VirtualClock, WallClock,
 };
 pub use pipeline::{DetectionPipeline, PipelineConfig, PipelineReport};
 pub use runtime::{AdaptConfig, AdaptStats, RunHandle, RuntimeError, ThreadedPipeline};
 pub use source::{
-    BatchPoll, ChannelSource, CollectorSource, EventSource, IterSource, ReplaySource,
-    SflowAgentSource, SocketSource, SourcePoll,
+    BatchPoll, ChannelSource, CollectorSource, EventSource, IterSource, ReplaySource, SocketSource,
+    SourcePoll,
 };
 pub use testbed::{Testbed, TestbedConfig};
 pub use trainer::{train_bundle, ModelBundle, TrainerConfig, VoteScratch};

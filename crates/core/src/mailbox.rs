@@ -5,10 +5,12 @@
 //! consumer — a stalled `recvmmsg` loop turns into kernel-side socket
 //! buffer overflow, which drops datagrams invisibly. Instead each
 //! listener publishes [`LabeledEvent`] *batches* into an
-//! [`EventMailbox`] with a hard capacity and an explicit
-//! [`OverflowPolicy`]; when the consumer falls behind, the mailbox
-//! sheds load measurably (per-mailbox drop counters) instead of
-//! unboundedly (heap growth) or invisibly (kernel drops).
+//! [`EventMailbox`] with a hard capacity; when the consumer falls
+//! behind, a full mailbox evicts its oldest queued batch to make room
+//! for the new one — the consumer sees the freshest traffic, which is
+//! what a detector wants (stale telemetry ages out of the flow windows
+//! anyway) — and sheds that load measurably (per-mailbox drop counters)
+//! instead of unboundedly (heap growth) or invisibly (kernel drops).
 //!
 //! Batches, not events, are the unit of transfer: one mutex
 //! acquisition moves up to a whole receive batch across the thread
@@ -20,38 +22,6 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// What a full mailbox does with the overflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Evict the oldest queued batch to make room for the new one —
-    /// the consumer sees the freshest traffic, which is what a
-    /// detector wants (stale telemetry ages out of the flow windows
-    /// anyway).
-    DropOldest,
-    /// Refuse the incoming batch — the consumer sees a contiguous
-    /// prefix of the stream, which is what replay-style analysis
-    /// wants.
-    DropNewest,
-}
-
-impl OverflowPolicy {
-    pub fn name(self) -> &'static str {
-        match self {
-            OverflowPolicy::DropOldest => "drop-oldest",
-            OverflowPolicy::DropNewest => "drop-newest",
-        }
-    }
-
-    /// Parse a CLI `--overflow` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "drop-oldest" => Some(OverflowPolicy::DropOldest),
-            "drop-newest" => Some(OverflowPolicy::DropNewest),
-            _ => None,
-        }
-    }
-}
-
 /// Queue + free list, behind one mutex. Shells move between the two
 /// sides but are never freed in steady state.
 struct Inner {
@@ -59,7 +29,7 @@ struct Inner {
     free: Vec<Vec<LabeledEvent>>,
 }
 
-/// A bounded, policy-governed queue of event batches. One producer
+/// A bounded, drop-oldest queue of event batches. One producer
 /// (a listener thread) and one consumer (the collection stage's
 /// [`crate::source::SocketSource`]) in the intended topology, though
 /// nothing breaks with more of either.
@@ -67,7 +37,6 @@ pub struct EventMailbox {
     inner: Mutex<Inner>,
     /// Most `ready` batches held at once.
     capacity: usize,
-    policy: OverflowPolicy,
     closed: AtomicBool,
     published_batches: AtomicU64,
     published_events: AtomicU64,
@@ -77,7 +46,7 @@ pub struct EventMailbox {
 
 impl EventMailbox {
     /// A mailbox holding at most `capacity` pending batches (minimum 1).
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Self {
             // Both sides at their bounds up front (`free` admits one
@@ -88,7 +57,6 @@ impl EventMailbox {
                 free: Vec::with_capacity(capacity + 1),
             }),
             capacity,
-            policy,
             closed: AtomicBool::new(false),
             published_batches: AtomicU64::new(0),
             published_events: AtomicU64::new(0),
@@ -105,9 +73,9 @@ impl EventMailbox {
         self.inner.lock().free.pop().unwrap_or_default()
     }
 
-    /// Publish a filled batch. Returns how many *events* the policy had
-    /// to shed to honor the capacity bound (0 = stored cleanly). Empty
-    /// batches are recycled without occupying a slot.
+    /// Publish a filled batch. Returns how many *events* of the oldest
+    /// queued batch were shed to honor the capacity bound (0 = stored
+    /// cleanly). Empty batches are recycled without occupying a slot.
     // amlint: hot
     pub fn publish(&self, batch: Vec<LabeledEvent>) -> usize {
         if batch.is_empty() {
@@ -117,47 +85,27 @@ impl EventMailbox {
         let incoming = batch.len();
         let mut shed = 0usize;
         let mut guard = self.inner.lock();
-        if guard.ready.len() < self.capacity {
-            // amlint: cold -- ready queue bounded by `capacity`, checked above
-            guard.ready.push_back(batch);
-        } else {
-            match self.policy {
-                OverflowPolicy::DropOldest => {
-                    if let Some(mut oldest) = guard.ready.pop_front() {
-                        shed = oldest.len();
-                        oldest.clear();
-                        if guard.free.len() <= self.capacity {
-                            // amlint: cold -- capacity-bounded free list of recycled shells
-                            guard.free.push(oldest);
-                        }
-                    }
-                    // amlint: cold -- slot just vacated by pop_front: stays within capacity
-                    guard.ready.push_back(batch);
-                }
-                OverflowPolicy::DropNewest => {
-                    shed = incoming;
-                    let mut batch = batch;
-                    batch.clear();
-                    if guard.free.len() <= self.capacity {
-                        // amlint: cold -- capacity-bounded free list of recycled shells
-                        guard.free.push(batch);
-                    }
+        if guard.ready.len() >= self.capacity {
+            if let Some(mut oldest) = guard.ready.pop_front() {
+                shed = oldest.len();
+                oldest.clear();
+                if guard.free.len() <= self.capacity {
+                    // amlint: cold -- capacity-bounded free list of recycled shells
+                    guard.free.push(oldest);
                 }
             }
         }
+        // amlint: cold -- below `capacity`, or in the slot pop_front just vacated
+        guard.ready.push_back(batch);
         drop(guard);
         if shed > 0 {
             self.dropped_batches.fetch_add(1, Ordering::Relaxed);
             self.dropped_events
                 .fetch_add(shed as u64, Ordering::Relaxed);
         }
-        // A drop-newest rejection never entered the queue; everything
-        // else did (drop-oldest sheds a previously published batch).
-        if shed == 0 || self.policy == OverflowPolicy::DropOldest {
-            self.published_batches.fetch_add(1, Ordering::Relaxed);
-            self.published_events
-                .fetch_add(incoming as u64, Ordering::Relaxed);
-        }
+        self.published_batches.fetch_add(1, Ordering::Relaxed);
+        self.published_events
+            .fetch_add(incoming as u64, Ordering::Relaxed);
         shed
     }
 
@@ -210,12 +158,12 @@ impl EventMailbox {
         self.published_events.load(Ordering::Relaxed)
     }
 
-    /// Batches shed by the overflow policy.
+    /// Batches shed on overflow.
     pub fn dropped_batches(&self) -> u64 {
         self.dropped_batches.load(Ordering::Relaxed)
     }
 
-    /// Events shed by the overflow policy. Together with the consumer's
+    /// Events shed on overflow. Together with the consumer's
     /// tally this accounts for every published event:
     /// `published_events == consumed + dropped_events + pending`.
     pub fn dropped_events(&self) -> u64 {
@@ -227,7 +175,6 @@ impl std::fmt::Debug for EventMailbox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventMailbox")
             .field("capacity", &self.capacity)
-            .field("policy", &self.policy.name())
             .field("pending", &self.pending_batches())
             .field("closed", &self.is_closed())
             .finish()
@@ -269,7 +216,7 @@ mod tests {
 
     #[test]
     fn publish_pop_roundtrip_in_order() {
-        let mb = EventMailbox::new(4, OverflowPolicy::DropOldest);
+        let mb = EventMailbox::new(4);
         assert_eq!(mb.publish(batch(0..3)), 0);
         assert_eq!(mb.publish(batch(3..5)), 0);
         assert_eq!(mb.pop().map(|b| b.len()), Some(3));
@@ -281,7 +228,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_sheds_the_front() {
-        let mb = EventMailbox::new(2, OverflowPolicy::DropOldest);
+        let mb = EventMailbox::new(2);
         mb.publish(batch(0..1)); // oldest
         mb.publish(batch(1..3));
         assert_eq!(mb.publish(batch(3..6)), 1, "one event shed from front");
@@ -297,19 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_newest_refuses_the_incoming() {
-        let mb = EventMailbox::new(1, OverflowPolicy::DropNewest);
-        mb.publish(batch(0..2));
-        assert_eq!(mb.publish(batch(2..7)), 5);
-        assert_eq!(mb.pop().map(|b| b.len()), Some(2));
-        assert!(mb.pop().is_none());
-        assert_eq!(mb.dropped_events(), 5);
-        assert_eq!(mb.published_events(), 2, "rejected batch never published");
-    }
-
-    #[test]
     fn shells_recycle_through_the_free_list() {
-        let mb = EventMailbox::new(4, OverflowPolicy::DropOldest);
+        let mb = EventMailbox::new(4);
         let mut shell = mb.acquire();
         let baseline_ptr = {
             shell.extend(batch(0..4));
@@ -326,36 +262,34 @@ mod tests {
 
     #[test]
     fn queue_and_free_list_never_regrow_up_to_capacity() {
-        for policy in [OverflowPolicy::DropOldest, OverflowPolicy::DropNewest] {
-            let mb = EventMailbox::new(8, policy);
-            let capacities = || {
-                let inner = mb.inner.lock();
-                (inner.ready.capacity(), inner.free.capacity())
-            };
-            let at_rest = capacities();
-            // Fill past the bound (the overflow sheds into `free`), drain
-            // everything, and send every shell home — twice, so the
-            // second lap runs on recycled shells.
-            for _ in 0..2 {
-                for tag in 0..10 {
-                    let mut shell = mb.acquire();
-                    shell.push(event(tag));
-                    mb.publish(shell);
-                    assert_eq!(capacities(), at_rest, "publish {tag}");
-                }
-                assert_eq!(mb.pending_batches(), 8);
-                let popped: Vec<_> = std::iter::from_fn(|| mb.pop()).collect();
-                for shell in popped {
-                    mb.recycle(shell);
-                    assert_eq!(capacities(), at_rest, "recycle");
-                }
+        let mb = EventMailbox::new(8);
+        let capacities = || {
+            let inner = mb.inner.lock();
+            (inner.ready.capacity(), inner.free.capacity())
+        };
+        let at_rest = capacities();
+        // Fill past the bound (the overflow sheds into `free`), drain
+        // everything, and send every shell home — twice, so the
+        // second lap runs on recycled shells.
+        for _ in 0..2 {
+            for tag in 0..10 {
+                let mut shell = mb.acquire();
+                shell.push(event(tag));
+                mb.publish(shell);
+                assert_eq!(capacities(), at_rest, "publish {tag}");
+            }
+            assert_eq!(mb.pending_batches(), 8);
+            let popped: Vec<_> = std::iter::from_fn(|| mb.pop()).collect();
+            for shell in popped {
+                mb.recycle(shell);
+                assert_eq!(capacities(), at_rest, "recycle");
             }
         }
     }
 
     #[test]
     fn close_then_drain_then_finished() {
-        let mb = EventMailbox::new(4, OverflowPolicy::DropOldest);
+        let mb = EventMailbox::new(4);
         mb.publish(batch(0..2));
         mb.close();
         assert!(mb.is_closed());
@@ -366,7 +300,7 @@ mod tests {
 
     #[test]
     fn empty_batches_do_not_occupy_slots() {
-        let mb = EventMailbox::new(1, OverflowPolicy::DropNewest);
+        let mb = EventMailbox::new(1);
         mb.publish(Vec::new());
         assert_eq!(mb.pending_batches(), 0);
         assert_eq!(mb.publish(batch(0..1)), 0, "slot still free");

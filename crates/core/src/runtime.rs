@@ -7,8 +7,8 @@
 //! concurrency and a wall clock instead of a virtual one:
 //!
 //! * **collection** drains a streaming [`EventSource`] (iterator,
-//!   channel, capture replay, raw INT byte stream, or a live sFlow
-//!   sampling agent — both telemetry backends speak
+//!   channel, capture replay, raw INT byte stream, or ingest-server
+//!   mailboxes — every telemetry backend speaks
 //!   [`crate::event::LabeledEvent`]) a batch at a time and fans events
 //!   out to the processor shards, routed by
 //!   [`ShardRouter`] over the event's
@@ -68,6 +68,13 @@ use std::time::Duration;
 /// Most events (collection → shard) or flow updates (shard → prediction)
 /// a single channel message may carry.
 const MAX_JOB_BATCH: usize = 256;
+
+/// Depth of every hop's channel: [`BatchJob`]s on the main, deferred and
+/// vote lanes, events (however they are batched) on collection → shard.
+const CHANNEL_CAPACITY: usize = 1024;
+
+/// Votes per flow the aggregator smooths a verdict over (§III-3).
+const SMOOTHING_WINDOW: usize = 3;
 
 /// How long the prediction thread blocks on the main lane before
 /// re-checking the deferred lane (priority-drain loop, prefilter on).
@@ -275,8 +282,6 @@ pub struct ThreadedPipeline {
     /// reads — publish through (a clone of) it and the next micro-batch
     /// votes with the new epoch.
     handle: EpochHandle,
-    smoothing_window: usize,
-    channel_capacity: usize,
     shards: usize,
     adapt: Option<AdaptConfig>,
     prefilter: PrefilterMode,
@@ -295,8 +300,6 @@ impl ThreadedPipeline {
         Self {
             db: FlowDatabase::new(),
             handle,
-            smoothing_window: 3,
-            channel_capacity: 1024,
             shards: 1,
             adapt: None,
             prefilter: PrefilterMode::Off,
@@ -308,11 +311,6 @@ impl ThreadedPipeline {
     /// and for inspecting the live epoch).
     pub fn model_handle(&self) -> EpochHandle {
         self.handle.clone()
-    }
-
-    pub fn with_smoothing_window(mut self, window: usize) -> Self {
-        self.smoothing_window = window;
-        self
     }
 
     /// Enable the shadow-trainer stage: a drift detector watching the
@@ -336,7 +334,8 @@ impl ThreadedPipeline {
     }
 
     /// Tune the triage stage (thresholds, sketch sizes, alarm knobs).
-    pub fn with_triage_config(mut self, cfg: TriageConfig) -> Self {
+    #[cfg(test)]
+    fn with_triage_config(mut self, cfg: TriageConfig) -> Self {
         self.triage = cfg;
         self
     }
@@ -387,13 +386,12 @@ impl ThreadedPipeline {
         let mut shard_rxs = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             // The hop's capacity stays counted in events: a full channel
-            // parks `channel_capacity` reports, however they are batched.
-            let (tx, rx) =
-                bounded::<Vec<LabeledEvent>>((self.channel_capacity / MAX_JOB_BATCH).max(1));
+            // parks `CHANNEL_CAPACITY` reports, however they are batched.
+            let (tx, rx) = bounded::<Vec<LabeledEvent>>(CHANNEL_CAPACITY / MAX_JOB_BATCH);
             shard_txs.push(tx);
             shard_rxs.push(rx);
         }
-        let (job_tx, job_rx) = bounded::<BatchJob>(self.channel_capacity);
+        let (job_tx, job_rx) = bounded::<BatchJob>(CHANNEL_CAPACITY);
         // The low-priority lane: deferred batches park here until the
         // prediction thread finds the main lane idle. As deep as every
         // other hop: a processor that outruns the predictor through a
@@ -403,8 +401,8 @@ impl ThreadedPipeline {
         // 33 k deferred updates per lap and one of 32 still 12–15 k;
         // this depth shed none, for about 2 MiB. Overflow is still
         // explicit, counted shed, never backpressure.
-        let (defer_tx, defer_rx) = bounded::<BatchJob>(self.channel_capacity);
-        let (vote_tx, vote_rx) = bounded::<BatchVoted>(self.channel_capacity);
+        let (defer_tx, defer_rx) = bounded::<BatchJob>(CHANNEL_CAPACITY);
+        let (vote_tx, vote_rx) = bounded::<BatchVoted>(CHANNEL_CAPACITY);
 
         // Optional adaptation stage: a bounded sample channel from the
         // aggregator (which sees rows + ground truth together) into a
@@ -708,12 +706,11 @@ impl ThreadedPipeline {
         // run reports recall without a side-channel lookup table.
         let aggregator: JoinHandle<(VerdictCounts, RecallCounts, f64, f64, u64, u64)> = {
             let db = self.db.clone();
-            let window_size = self.smoothing_window;
             let in_flight = Arc::clone(&in_flight);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let _done_guard = SetOnDrop(done);
-                let mut agg = crate::modules::Aggregator::new(db, window_size);
+                let mut agg = crate::modules::Aggregator::new(db, SMOOTHING_WINDOW);
                 let mut labeled = RecallCounts::default();
                 let mut samples_fed = 0u64;
                 let mut samples_shed = 0u64;
@@ -1133,14 +1130,6 @@ mod tests {
         assert_eq!(stats.events_in, 0);
         assert_eq!(stats.predictions, 0);
         assert_eq!(stats.mean_latency_us, 0.0);
-    }
-
-    #[test]
-    fn smoothing_window_is_configurable() {
-        let pipe = ThreadedPipeline::new(bundle()).with_smoothing_window(1);
-        let reports: Vec<TelemetryReport> = capture(30).into_iter().map(|(r, _)| r).collect();
-        let stats = pipe.run(reports).expect("no module panicked");
-        assert_eq!(stats.pending_verdicts, 0, "window of 1 never pends");
     }
 
     #[test]

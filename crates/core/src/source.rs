@@ -19,24 +19,18 @@
 //!   shape the experiment binaries and the CLI feed the runtime;
 //! * [`CollectorSource`] — an [`amlight_int::IntCollector`] adapter that
 //!   decodes a raw sink byte stream chunk by chunk, tolerating split and
-//!   malformed reports exactly like the standalone collector;
-//! * [`SflowAgentSource`] — an [`SflowAgent`] driven over a packet
-//!   trace, emitting only the packets the sampling state machine
-//!   selects (the live-agent shape of the paper's sFlow baseline).
+//!   malformed reports exactly like the standalone collector.
 //!
 //! Sources are *polled*, not blocked on: `Idle` lets the collection stage
 //! stay responsive to `stop()` while a live source has nothing to hand
 //! over yet. The runtime drains a source a batch at a time through
-//! [`EventSource::poll_batch`], which every source here that owns or
-//! waits for its events overrides, so that they move by value into the
-//! caller's buffer; [`EventSource::poll_event`] is the one method a new
+//! [`EventSource::poll_batch`], which every source here overrides so
+//! that events move by value into the caller's buffer; [`EventSource::poll_event`] is the one method a new
 //! source has to write.
 
 use crate::event::{LabeledEvent, Telemetry};
 use crate::mailbox::EventMailbox;
 use amlight_int::{IntCollector, TelemetryReport};
-use amlight_net::{PacketRecord, Trace};
-use amlight_sflow::SflowAgent;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -256,58 +250,6 @@ impl EventSource for ReplaySource {
     }
 }
 
-/// Packets an [`SflowAgentSource`] offers its agent per poll before
-/// yielding `Idle`: under 1-in-4,096 sampling most polls select nothing,
-/// and the collection stage must still get its stop-flag check in.
-const AGENT_BURST: usize = 4096;
-
-/// An [`SflowAgent`] driven over a packet trace: the source *is* the
-/// sampling switch. Every packet is offered to the agent's state
-/// machine; only the selected ones become events, each labeled with the
-/// trace's ground-truth class. This is the live-agent shape of the
-/// paper's sFlow baseline — the detector downstream sees 1-in-N of the
-/// traffic, which is exactly why SlowLoris vanishes (Fig. 5).
-pub struct SflowAgentSource {
-    agent: SflowAgent,
-    packets: std::vec::IntoIter<PacketRecord>,
-}
-
-impl SflowAgentSource {
-    /// Sample `trace` through `agent` (time order restored if needed).
-    pub fn new(agent: SflowAgent, trace: &Trace) -> Self {
-        let mut records: Vec<PacketRecord> = trace.records().to_vec();
-        if !trace.is_sorted() {
-            records.sort_by_key(|r| r.ts_ns);
-        }
-        Self {
-            agent,
-            packets: records.into_iter(),
-        }
-    }
-
-    /// Sampling statistics so far (packets observed vs selected).
-    pub fn agent(&self) -> &SflowAgent {
-        &self.agent
-    }
-}
-
-impl EventSource for SflowAgentSource {
-    fn poll_event(&mut self) -> SourcePoll {
-        for _ in 0..AGENT_BURST {
-            let Some(rec) = self.packets.next() else {
-                return SourcePoll::End;
-            };
-            if let Some(sample) = self.agent.observe(rec.ts_ns, &rec.packet) {
-                return SourcePoll::Event(Box::new(LabeledEvent::with_truth(
-                    sample.into(),
-                    rec.class,
-                )));
-            }
-        }
-        SourcePoll::Idle
-    }
-}
-
 /// The INT collector adapter: pulls raw byte chunks from the sink and
 /// streams every report the [`IntCollector`] decodes out of them.
 ///
@@ -499,10 +441,9 @@ impl EventSource for SocketSource {
 mod tests {
     use super::*;
     use crate::event::TelemetryEvent;
-    use crate::mailbox::OverflowPolicy;
     use amlight_int::{HopMetadata, InstructionSet};
-    use amlight_net::{FlowKey, PacketBuilder, Protocol, TrafficClass};
-    use amlight_sflow::{FlowSample, SamplingMode};
+    use amlight_net::{FlowKey, Protocol, TrafficClass};
+    use amlight_sflow::FlowSample;
     use std::net::Ipv4Addr;
 
     fn report(tag: u32) -> TelemetryReport {
@@ -694,61 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn sflow_agent_source_samples_a_trace() {
-        // 1-in-4 deterministic sampling over a 40-packet trace.
-        let pkt = PacketBuilder::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
-            .tcp_syn(4242, 80, 1);
-        let trace: Trace = (0..40u64)
-            .map(|i| PacketRecord {
-                ts_ns: i * 100,
-                packet: pkt,
-                class: TrafficClass::SynFlood,
-            })
-            .collect();
-        let agent = SflowAgent::new(
-            SamplingMode::Deterministic {
-                period: 4,
-                phase: 0,
-            },
-            0,
-        );
-        let mut src = SflowAgentSource::new(agent, &trace);
-        let got = drain(&mut src);
-        assert_eq!(got.len(), 10);
-        assert_eq!(src.agent().observed(), 40);
-        assert_eq!(src.agent().sampled(), 10);
-        for e in &got {
-            assert_eq!(e.truth, Some(TrafficClass::SynFlood));
-            assert!(matches!(e.event, TelemetryEvent::Sflow(_)));
-        }
-    }
-
-    #[test]
-    fn sflow_agent_source_idles_on_long_unsampled_stretches() {
-        // Period large enough that the first AGENT_BURST packets can all
-        // be skipped → Idle, then the stream still ends cleanly.
-        let pkt = PacketBuilder::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
-            .tcp_syn(4242, 80, 1);
-        let trace: Trace = (0..AGENT_BURST as u64 + 10)
-            .map(|i| PacketRecord {
-                ts_ns: i,
-                packet: pkt,
-                class: TrafficClass::Benign,
-            })
-            .collect();
-        let agent = SflowAgent::new(
-            SamplingMode::Deterministic {
-                period: u32::MAX,
-                phase: 1_000_000,
-            },
-            0,
-        );
-        let mut src = SflowAgentSource::new(agent, &trace);
-        assert_eq!(src.poll_event(), SourcePoll::Idle);
-        assert_eq!(src.poll_event(), SourcePoll::End);
-    }
-
-    #[test]
     fn collector_source_decodes_split_chunks() {
         let reports: Vec<_> = (0..6).map(report).collect();
         let stream = IntCollector::encode_stream(&reports);
@@ -797,8 +683,8 @@ mod tests {
 
     #[test]
     fn socket_source_fans_in_round_robin_and_recycles() {
-        let mb_a = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
-        let mb_b = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
+        let mb_a = Arc::new(EventMailbox::new(4));
+        let mb_b = Arc::new(EventMailbox::new(4));
         mb_a.publish((0..3).map(|i| LabeledEvent::from(report(i))).collect());
         mb_b.publish((10..12).map(|i| LabeledEvent::from(report(i))).collect());
         let mut src = SocketSource::new(vec![Arc::clone(&mb_a), Arc::clone(&mb_b)]);
@@ -830,7 +716,7 @@ mod tests {
 
     #[test]
     fn socket_source_end_waits_for_pending_batches() {
-        let mb = Arc::new(EventMailbox::new(4, OverflowPolicy::DropNewest));
+        let mb = Arc::new(EventMailbox::new(4));
         mb.publish(vec![LabeledEvent::from(report(7))]);
         mb.close(); // producer exits with a batch still queued
         let mut src = SocketSource::new(vec![Arc::clone(&mb)]);
@@ -849,29 +735,6 @@ mod tests {
                 max,
             );
         }
-    }
-
-    #[test]
-    fn poll_batch_matches_poll_event_for_the_sampling_agent() {
-        // Sparse enough that whole bursts go by unsampled: Idle mid-stream.
-        let pkt = PacketBuilder::new(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
-            .tcp_syn(4242, 80, 1);
-        let trace: Trace = (0..3 * AGENT_BURST as u64)
-            .map(|i| PacketRecord {
-                ts_ns: i,
-                packet: pkt,
-                class: TrafficClass::Benign,
-            })
-            .collect();
-        let source = || {
-            let mode = SamplingMode::Deterministic {
-                period: 2 * AGENT_BURST as u32,
-                phase: 5,
-            };
-            SflowAgentSource::new(SflowAgent::new(mode, 0), &trace)
-        };
-        assert!(until_pause(&mut source()).contains(&SourcePoll::Idle));
-        assert_batch_matches_events(source(), source(), 2);
     }
 
     #[test]
@@ -922,8 +785,8 @@ mod tests {
         // Socket: two mailboxes round-robin, Idle while open, End once
         // closed — and a batch poll after an event poll keeps the order.
         let serve = || {
-            let mb_a = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
-            let mb_b = Arc::new(EventMailbox::new(4, OverflowPolicy::DropOldest));
+            let mb_a = Arc::new(EventMailbox::new(4));
+            let mb_b = Arc::new(EventMailbox::new(4));
             mb_a.publish((0..3).map(|i| LabeledEvent::from(report(i))).collect());
             mb_b.publish((10..12).map(|i| LabeledEvent::from(report(i))).collect());
             mb_a.publish((3..5).map(|i| LabeledEvent::from(report(i))).collect());

@@ -197,10 +197,10 @@ fn mix64(mut x: u64) -> u64 {
 /// A count-min sketch whose counters halve at every window rollover —
 /// a cheap exponential decay that can never underflow (`u64 >> 1`).
 ///
-/// Unlike the post-hoc guard's epoch sketch (clear-and-restart, in
-/// `amlight_core::guard`), windowed halving keeps ~one window of history in
-/// the estimate, so a flow that just went quiet does not instantly look
-/// cold. Width is a power of two: hot-path indexing is mask-and-add.
+/// Windowed halving keeps ~one window of history in the estimate, so a
+/// flow that just went quiet does not instantly look cold; a caller that
+/// wants hard epochs instead calls [`WindowedCountMin::clear`]. Width is
+/// a power of two: hot-path indexing is mask-and-add.
 #[derive(Debug, Clone)]
 pub struct WindowedCountMin {
     width_mask: usize,
@@ -275,6 +275,11 @@ impl WindowedCountMin {
         for c in &mut self.counters {
             *c >>= 1;
         }
+    }
+
+    /// Zero every counter — a hard epoch boundary.
+    pub fn clear(&mut self) {
+        self.counters.fill(0);
     }
 }
 

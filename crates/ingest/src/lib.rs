@@ -25,8 +25,8 @@
 //! [`amlight_core::SocketSource`] that fans the per-listener mailboxes
 //! into the pipeline's collection thread, round-robin. Backpressure is
 //! explicit: each mailbox holds a bounded number of batches and sheds
-//! per its [`OverflowPolicy`] when the consumer lags, with counters
-//! making every dropped event visible — at any quiet point
+//! its oldest when the consumer lags, with counters making every
+//! dropped event visible — at any quiet point
 //! `events_decoded == consumed + dropped + pending`.
 //!
 //! Three wire protocols, selected per [`ListenerConfig`]:
@@ -56,7 +56,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use amlight_core::{EventMailbox, LabeledEvent, OverflowPolicy, SocketSource};
+use amlight_core::{EventMailbox, LabeledEvent, SocketSource};
 use amlight_int::{IntCollector, TelemetryReport};
 use amlight_pint::PintCollector;
 use amlight_sflow::SflowCollector;
@@ -114,8 +114,6 @@ pub struct ListenerConfig {
     pub mailbox_batches: usize,
     /// Events per published batch (the mailbox transfer unit).
     pub batch_events: usize,
-    /// What to shed when a mailbox is full.
-    pub overflow: OverflowPolicy,
     /// Socket read timeout: bounds how long a quiet listener blocks
     /// before checking its stop flag and flushing a partial batch.
     pub read_timeout: Duration,
@@ -129,7 +127,6 @@ impl ListenerConfig {
             listeners: 1,
             mailbox_batches: 64,
             batch_events: 256,
-            overflow: OverflowPolicy::DropOldest,
             read_timeout: Duration::from_millis(20),
         }
     }
@@ -146,11 +143,6 @@ impl ListenerConfig {
 
     pub fn mailbox_batches(mut self, n: usize) -> Self {
         self.mailbox_batches = n.max(1);
-        self
-    }
-
-    pub fn overflow(mut self, policy: OverflowPolicy) -> Self {
-        self.overflow = policy;
         self
     }
 
@@ -238,7 +230,7 @@ impl IngestServer {
                 socks.push(sock);
             }
             for (i, sock) in socks.into_iter().enumerate() {
-                let mailbox = Arc::new(EventMailbox::new(cfg.mailbox_batches, cfg.overflow));
+                let mailbox = Arc::new(EventMailbox::new(cfg.mailbox_batches));
                 let ctx = spawn_ctx(&mailbox);
                 mailboxes.push(mailbox);
                 threads.push(
@@ -262,7 +254,7 @@ impl IngestServer {
             }
             for (i, sock) in socks.into_iter().enumerate() {
                 sock.set_read_timeout(Some(cfg.read_timeout))?;
-                let mailbox = Arc::new(EventMailbox::new(cfg.mailbox_batches, cfg.overflow));
+                let mailbox = Arc::new(EventMailbox::new(cfg.mailbox_batches));
                 let ctx = spawn_ctx(&mailbox);
                 mailboxes.push(mailbox);
                 threads.push(
@@ -756,7 +748,7 @@ mod tests {
 
     #[test]
     fn slow_consumer_accounting_is_exact() {
-        // Tiny mailbox + DropOldest + no consumer while sending: most
+        // Tiny mailbox + no consumer while sending: most
         // events shed, and decoded == drained + dropped exactly.
         let server =
             IngestServer::bind(cfg(WireProtocol::IntUdp).mailbox_batches(2).batch_events(4))

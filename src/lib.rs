@@ -41,10 +41,10 @@ pub mod prelude {
             pint_view, sample_reports, LabeledEvent, Telemetry, TelemetryBackend, TelemetryEvent,
             ViewOptions,
         },
-        guard::{CountMinSketch, FloodAlert, GuardConfig, NewFlowGuard},
+        guard::{FloodAlert, GuardConfig, NewFlowGuard},
         pipeline::{DetectionPipeline, PipelineConfig, PipelineReport},
         runtime::ThreadedPipeline,
-        source::{EventSource, ReplaySource, SflowAgentSource},
+        source::{EventSource, ReplaySource},
         testbed::{Testbed, TestbedConfig},
         trainer::{
             dataset_from_events, dataset_from_labeled, train_bundle, ModelBundle, TrainerConfig,

@@ -1,11 +1,10 @@
 //! Failure injection and adversarial-input robustness, spanning crates.
 
 use amlight::core::event::Telemetry;
-use amlight::core::guard::CountMinSketch;
 use amlight::core::pipeline::{DetectionPipeline, PipelineConfig};
 use amlight::core::testbed::{Testbed, TestbedConfig};
 use amlight::core::trainer::{dataset_from_events, train_bundle, TrainerConfig};
-use amlight::features::FeatureSet;
+use amlight::features::{FeatureSet, WindowedCountMin};
 use amlight::int::{HopMetadata, InstructionSet, IntCollector, TelemetryReport};
 use amlight::ml::MlpConfig;
 use amlight::net::{Decode, FlowKey, Packet, Protocol, TrafficClass};
@@ -87,21 +86,25 @@ proptest! {
         let _ = Packet::decode(&mut cursor);
     }
 
-    /// Count-min estimates never underestimate, under any workload.
+    /// Count-min estimates never underestimate, under any workload, and
+    /// `clear` — the flood guard's epoch boundary — forgets everything.
     #[test]
     fn count_min_never_underestimates(
         keys in proptest::collection::vec(0u64..64, 1..500),
     ) {
-        let mut sketch = CountMinSketch::new(128, 4);
+        let mut sketch = WindowedCountMin::new(128, 4);
         let mut truth = std::collections::HashMap::new();
         for &k in &keys {
-            sketch.increment(k, 1);
-            *truth.entry(k).or_insert(0u32) += 1;
+            sketch.observe(k);
+            *truth.entry(k).or_insert(0u64) += 1;
         }
         for (&k, &n) in &truth {
             prop_assert!(sketch.estimate(k) >= n);
         }
-        prop_assert_eq!(sketch.total() as usize, keys.len());
+        sketch.clear();
+        for &k in truth.keys() {
+            prop_assert_eq!(sketch.estimate(k), 0);
+        }
     }
 }
 
