@@ -575,6 +575,13 @@ fn print_threaded(
         "verdicts: {} attack / {} normal / {} pending",
         stats.attack_verdicts, stats.normal_verdicts, stats.pending_verdicts
     )?;
+    writeln!(
+        out,
+        "ensemble: {} rows, {} escalated to MLP ({:.1} %)",
+        stats.rows_scored,
+        stats.rows_escalated,
+        100.0 * stats.rows_escalated as f64 / stats.rows_scored.max(1) as f64,
+    )?;
     if stats.labeled.labeled_updates() > 0 {
         writeln!(
             out,
@@ -776,6 +783,10 @@ mod tests {
         ])
         .unwrap();
         assert!(text.contains("threaded int replay"), "{text}");
+        assert!(
+            text.contains("ensemble: ") && text.contains(" escalated to MLP ("),
+            "{text}"
+        );
         assert!(text.contains("labeled recall"), "{text}");
         assert!(text.contains("wall-clock prediction latency"), "{text}");
 

@@ -14,7 +14,8 @@
 //!   are never forwarded to Prediction, §III-3).
 //! * [`Predictor`] — Fig. 2's *Prediction* module: pre-fitted scaler +
 //!   pre-trained ensemble, one columnar [`ModelBundle::votes_batch`]
-//!   call per micro-batch.
+//!   call per micro-batch (GNB and the forest over every row, the MLP
+//!   only where those two split — counted, never silent).
 //! * [`Aggregator`] — the Data Processor's aggregation half: per-flow
 //!   smoothing windows, verdict counting, and the stored
 //!   [`PredictionRecord`] with its prediction-latency stamp.
@@ -304,10 +305,18 @@ impl<C: Clock> Processor<C> {
 /// bundle published mid-run takes effect on the next batch without the
 /// predictor being rebuilt, and every batch is scored against exactly
 /// one epoch.
+///
+/// The 2-of-3 vote exits early: the MLP scores only the rows GNB and the
+/// forest split on. The predictor tallies both populations, because the
+/// escalated share *is* the predictor's cost model — if it climbs (model
+/// drift, or traffic crafted to split the cheap members) the per-row
+/// cost climbs back toward the full three-member pass.
 #[derive(Debug)]
 pub struct Predictor {
     handle: EpochHandle,
     scratch: VoteScratch,
+    rows_scored: u64,
+    rows_escalated: u64,
 }
 
 impl Predictor {
@@ -324,6 +333,8 @@ impl Predictor {
         Self {
             handle,
             scratch: VoteScratch::default(),
+            rows_scored: 0,
+            rows_escalated: 0,
         }
     }
 
@@ -336,13 +347,27 @@ impl Predictor {
         self.handle.feature_set()
     }
 
+    /// Rows this predictor has voted on so far.
+    pub fn rows_scored(&self) -> u64 {
+        self.rows_scored
+    }
+
+    /// How many of those needed the third member (the MLP) because GNB
+    /// and the forest split.
+    pub fn rows_escalated(&self) -> u64 {
+        self.rows_escalated
+    }
+
     /// One columnar 2-of-3 ensemble pass over contiguous row-major raw
     /// feature rows; `decisions` is cleared and refilled in row order.
     /// Returns the model epoch the whole batch was scored against.
     pub fn predict(&mut self, rows: &[f64], decisions: &mut Vec<bool>) -> u64 {
         let current = self.handle.load();
         let bundle = current.bundle();
-        bundle.votes_batch(rows, bundle.feature_set.dim(), &mut self.scratch, decisions);
+        let escalated =
+            bundle.votes_batch(rows, bundle.feature_set.dim(), &mut self.scratch, decisions);
+        self.rows_scored += decisions.len() as u64;
+        self.rows_escalated += escalated as u64;
         current.epoch()
     }
 }

@@ -20,7 +20,10 @@
 //!   update behind [`crate::event::Telemetry`] dispatch — and hand the
 //!   judged updates of each event batch toward prediction;
 //! * **prediction** (one thread) fans the shard batches back in and runs
-//!   one columnar ensemble pass per batch via the shared [`Predictor`];
+//!   one early-exit ensemble pass per batch via the shared [`Predictor`]:
+//!   GNB and the forest score every row columnar, the MLP only the rows
+//!   those two split on, and the escalated count rides out in
+//!   [`ThreadedRunStats`];
 //! * **aggregation** (one thread) folds votes into per-flow smoothing
 //!   windows with the shared [`crate::modules::Aggregator`], stamping
 //!   every stored [`crate::db::PredictionRecord`] with a real wall-clock
@@ -261,6 +264,11 @@ pub struct ThreadedRunStats {
     pub adapt: AdaptStats,
     /// Triage pre-filter tallies (lanes, shed, would-be verdicts).
     pub triage: TriageStats,
+    /// Rows the ensemble voted on.
+    pub rows_scored: u64,
+    /// How many of those GNB and the forest split on, so the MLP had to
+    /// break the tie. The predictor's per-row cost tracks this share.
+    pub rows_escalated: u64,
     pub mean_latency_us: f64,
     pub max_latency_us: f64,
 }
@@ -636,66 +644,23 @@ impl ThreadedPipeline {
         drop(defer_tx);
 
         // Module 4: Prediction — shard batches fan back in here; one
-        // columnar scaler + ensemble pass per batch, against whatever
+        // scaler + early-exit ensemble pass per batch, against whatever
         // model epoch is published when the batch arrives (one wait-free
         // handle load per batch, so a hot-swap lands between batches,
-        // never inside one).
-        let prediction: JoinHandle<()> = {
+        // never inside one). The thread hands back its vote tallies.
+        let prediction: JoinHandle<(u64, u64)> = {
             let handle = self.handle.clone();
             std::thread::spawn(move || {
                 let mut predictor = Predictor::shared(handle);
-                if prefilter != PrefilterMode::On {
-                    // No deferred lane to service (Off and Shadow both
-                    // route everything onto the main lane): the plain
-                    // blocking loop, so shadow's timing stays identical
-                    // to off and its measurements are apples-to-apples.
-                    drop(defer_rx);
-                    for job in job_rx.iter() {
-                        if !score_batch(&mut predictor, job, &scratch_rx, &vote_tx) {
-                            return;
-                        }
-                    }
-                    return;
-                }
-                // Priority drain: the main lane is served strictly first;
-                // the deferred lane is only touched when the main lane is
-                // momentarily empty ("the Predictor drains it when idle").
-                loop {
-                    match job_rx.try_recv() {
-                        Ok(job) => {
-                            if !score_batch(&mut predictor, job, &scratch_rx, &vote_tx) {
-                                return;
-                            }
-                            continue;
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => {}
-                    }
-                    if let Ok(job) = defer_rx.try_recv() {
-                        if !score_batch(&mut predictor, job, &scratch_rx, &vote_tx) {
-                            return;
-                        }
-                        continue;
-                    }
-                    match job_rx.recv_timeout(IDLE_WAIT) {
-                        Ok(job) => {
-                            if !score_batch(&mut predictor, job, &scratch_rx, &vote_tx) {
-                                return;
-                            }
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                // Drain discipline: once the main lane closes, everything
-                // deferred (and not shed) is still evaluated before the
-                // run ends — which is what keeps verdict totals, and
-                // recall, shard-count invariant.
-                for job in defer_rx.iter() {
-                    if !score_batch(&mut predictor, job, &scratch_rx, &vote_tx) {
-                        return;
-                    }
-                }
+                serve_lanes(
+                    &mut predictor,
+                    prefilter,
+                    job_rx,
+                    defer_rx,
+                    &scratch_rx,
+                    &vote_tx,
+                );
+                (predictor.rows_scored(), predictor.rows_escalated())
             })
         };
 
@@ -775,6 +740,70 @@ impl ThreadedPipeline {
             stop,
             in_flight,
             done,
+        }
+    }
+}
+
+/// The prediction thread's loop: score batches off the main lane — and,
+/// with the pre-filter on, off the deferred lane whenever the main one is
+/// idle — until the shards hang up or aggregation exits.
+fn serve_lanes(
+    predictor: &mut Predictor,
+    prefilter: PrefilterMode,
+    job_rx: Receiver<BatchJob>,
+    defer_rx: Receiver<BatchJob>,
+    scratch_rx: &Receiver<Vec<bool>>,
+    vote_tx: &Sender<BatchVoted>,
+) {
+    if prefilter != PrefilterMode::On {
+        // No deferred lane to service (Off and Shadow both route
+        // everything onto the main lane): the plain blocking loop, so
+        // shadow's timing stays identical to off and its measurements
+        // are apples-to-apples.
+        drop(defer_rx);
+        for job in job_rx.iter() {
+            if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                return;
+            }
+        }
+        return;
+    }
+    // Priority drain: the main lane is served strictly first; the
+    // deferred lane is only touched when the main lane is momentarily
+    // empty ("the Predictor drains it when idle").
+    loop {
+        match job_rx.try_recv() {
+            Ok(job) => {
+                if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                    return;
+                }
+                continue;
+            }
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {}
+        }
+        if let Ok(job) = defer_rx.try_recv() {
+            if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                return;
+            }
+            continue;
+        }
+        match job_rx.recv_timeout(IDLE_WAIT) {
+            Ok(job) => {
+                if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                    return;
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    // Drain discipline: once the main lane closes, everything deferred
+    // (and not shed) is still evaluated before the run ends — which is
+    // what keeps verdict totals, and recall, shard-count invariant.
+    for job in defer_rx.iter() {
+        if !score_batch(predictor, job, scratch_rx, vote_tx) {
+            return;
         }
     }
 }
@@ -883,7 +912,8 @@ const DRAIN_POLL: Duration = Duration::from_micros(400);
 pub struct RunHandle {
     collection: JoinHandle<u64>,
     processors: Vec<JoinHandle<ShardStats>>,
-    prediction: JoinHandle<()>,
+    /// Returns (rows scored, rows escalated to the MLP).
+    prediction: JoinHandle<(u64, u64)>,
     aggregator: JoinHandle<(VerdictCounts, RecallCounts, f64, f64, u64, u64)>,
     /// The shadow-trainer thread, present when adaptation is enabled.
     /// Returns (drift events, retrains published).
@@ -974,7 +1004,7 @@ impl RunHandle {
         if let Some(err) = shard_err {
             return Err(err);
         }
-        pred?;
+        let (rows_scored, rows_escalated) = pred?;
         let (counts, labeled, mean_latency_us, max_latency_us, samples_fed, samples_shed) = agg?;
         let (drift_events, retrains) = adapt_out.unwrap_or((0, 0));
 
@@ -1001,6 +1031,8 @@ impl RunHandle {
                 shed,
                 would,
             },
+            rows_scored,
+            rows_escalated,
             mean_latency_us,
             max_latency_us,
         })

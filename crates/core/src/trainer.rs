@@ -119,12 +119,32 @@ pub struct ModelBundle {
 pub struct VoteScratch {
     scaled: Vec<f64>,
     proba: Vec<f64>,
-    counts: Vec<u8>,
+    /// Batch indices of the rows GNB and the forest split on, in row
+    /// order (sized for the batch; the leading escalated-count entries
+    /// are live).
+    split_idx: Vec<usize>,
+    /// Those rows' scaled features gathered row-major for the MLP,
+    /// parallel to `split_idx`.
+    split_rows: Vec<f64>,
+}
+
+/// The 2-of-3 rule over the two votes taken first: when they agree that
+/// is the majority whatever the third member says, and when they split
+/// (`None`) the third member's vote *is* the majority. The one
+/// definition behind [`ModelBundle::ensemble_vote`] and
+/// [`ModelBundle::votes_batch`].
+#[inline]
+fn settled(gnb: bool, forest: bool) -> Option<bool> {
+    (gnb == forest).then_some(gnb)
 }
 
 impl ModelBundle {
     /// Individual model votes (MLP, RF, GNB order) for a raw (unscaled)
-    /// feature row.
+    /// feature row. Always evaluates all three members: this is the
+    /// independent reference the early-exit paths
+    /// ([`ModelBundle::ensemble_vote`], [`ModelBundle::votes_batch`])
+    /// are tested against, and what the ablation reports read per-model
+    /// votes from.
     pub fn votes(&self, raw_features: &[f64]) -> [bool; 3] {
         let mut row = raw_features.to_vec();
         self.scaler.transform_row(&mut row);
@@ -135,27 +155,38 @@ impl ModelBundle {
         ]
     }
 
-    /// The 2-of-3 ensemble decision for a raw feature row.
+    /// The 2-of-3 ensemble decision for a raw feature row: GNB and the
+    /// forest vote, and the MLP is consulted only to break their tie —
+    /// the same majority [`ModelBundle::votes`] would count.
     pub fn ensemble_vote(&self, raw_features: &[f64]) -> bool {
-        let v = self.votes(raw_features);
-        v.iter().filter(|&&b| b).count() >= 2
+        let mut row = raw_features.to_vec();
+        self.scaler.transform_row(&mut row);
+        settled(self.gnb.predict_one(&row), self.forest.predict_one(&row))
+            .unwrap_or_else(|| self.mlp.predict_one(&row))
     }
 
     /// Batched 2-of-3 ensemble decisions over contiguous row-major raw
-    /// (unscaled) features: one scaler pass, then each member scores the
-    /// whole batch through its columnar `predict_proba_batch` path.
+    /// (unscaled) features, with an exact early exit: one scaler pass,
+    /// GNB and the forest score the whole batch through their columnar
+    /// `predict_proba_batch` paths, and only the rows those two split on
+    /// are gathered and escalated to the MLP — structurally the dearest
+    /// member — whose vote breaks the tie. Where the two agree the
+    /// majority is already theirs.
     ///
     /// `out` is cleared and refilled with one decision per row, in row
-    /// order, bit-identical to calling [`ModelBundle::ensemble_vote`] on
-    /// each row (member probabilities are bit-identical and vote
-    /// counting is exact integer arithmetic).
+    /// order, bit-identical to the three-member count over
+    /// [`ModelBundle::votes`]: every member kernel is bit-stable per row
+    /// whatever else shares its batch, and [`amlight_ml::decide`] is the
+    /// one threshold on every path. Returns how many rows were escalated
+    /// to the MLP; at worst (the cheap members split on every row) that
+    /// is the three-member cost plus one row copy each.
     pub fn votes_batch(
         &self,
         rows: &[f64],
         n_features: usize,
         scratch: &mut VoteScratch,
         out: &mut Vec<bool>,
-    ) {
+    ) -> usize {
         assert!(n_features > 0 || rows.is_empty(), "rows need features");
         let n_rows = rows.len().checked_div(n_features).unwrap_or(0);
         assert_eq!(
@@ -167,7 +198,7 @@ impl ModelBundle {
         out.clear();
         out.resize(n_rows, false);
         if n_rows == 0 {
-            return;
+            return 0;
         }
 
         scratch.scaled.clear();
@@ -176,18 +207,47 @@ impl ModelBundle {
 
         scratch.proba.clear();
         scratch.proba.resize(n_rows, 0.0);
-        scratch.counts.clear();
-        scratch.counts.resize(n_rows, 0);
-        let members: [&dyn BinaryClassifier; 3] = [&self.mlp, &self.forest, &self.gnb];
-        for m in members {
-            m.predict_proba_batch(&scratch.scaled, n_features, &mut scratch.proba);
-            for (c, &p) in scratch.counts.iter_mut().zip(&scratch.proba) {
-                *c += u8::from(amlight_ml::decide(p));
+        self.gnb
+            .predict_proba_batch(&scratch.scaled, n_features, &mut scratch.proba);
+        for (o, &p) in out.iter_mut().zip(&scratch.proba) {
+            *o = amlight_ml::decide(p);
+        }
+
+        self.forest
+            .predict_proba_batch(&scratch.scaled, n_features, &mut scratch.proba);
+        scratch.split_idx.clear();
+        scratch.split_idx.resize(n_rows, 0);
+        let mut n_split = 0;
+        for (i, (o, &p)) in out.iter_mut().zip(&scratch.proba).enumerate() {
+            match settled(*o, amlight_ml::decide(p)) {
+                Some(majority) => *o = majority,
+                None => {
+                    scratch.split_idx[n_split] = i;
+                    n_split += 1;
+                }
             }
         }
-        for (o, &c) in out.iter_mut().zip(&scratch.counts) {
-            *o = c >= 2;
+        if n_split == 0 {
+            return 0;
         }
+
+        let split_idx = &scratch.split_idx[..n_split];
+        scratch.split_rows.clear();
+        scratch.split_rows.resize(n_split * n_features, 0.0);
+        for (dst, &i) in scratch
+            .split_rows
+            .chunks_exact_mut(n_features)
+            .zip(split_idx)
+        {
+            dst.copy_from_slice(&scratch.scaled[i * n_features..(i + 1) * n_features]);
+        }
+        let tie_break = &mut scratch.proba[..n_split];
+        self.mlp
+            .predict_proba_batch(&scratch.split_rows, n_features, tie_break);
+        for (&i, &p) in split_idx.iter().zip(&*tie_break) {
+            out[i] = amlight_ml::decide(p);
+        }
+        n_split
     }
 
     /// Wrap the three members as a [`MajorityEnsemble`] over *scaled*
@@ -445,6 +505,15 @@ mod tests {
     }
 
     #[test]
+    fn two_settled_votes_or_the_third_is_the_two_of_three_majority() {
+        for votes in 0u8..8 {
+            let [gnb, forest, mlp] = [votes & 1 != 0, votes & 2 != 0, votes & 4 != 0];
+            let counted = [gnb, forest, mlp].iter().filter(|&&v| v).count() >= 2;
+            assert_eq!(settled(gnb, forest).unwrap_or(mlp), counted, "{votes:03b}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "empty capture")]
     fn empty_training_rejected() {
         let d = Dataset::new(15);
@@ -466,11 +535,17 @@ mod tests {
 
         let mut scratch = VoteScratch::default();
         let mut batched = Vec::new();
-        bundle.votes_batch(raw.raw(), raw.n_features(), &mut scratch, &mut batched);
+        let escalated = bundle.votes_batch(raw.raw(), raw.n_features(), &mut scratch, &mut batched);
         assert_eq!(batched.len(), raw.len());
+        let mut split = 0;
         for (i, &got) in batched.iter().enumerate() {
             assert_eq!(got, bundle.ensemble_vote(raw.row(i)), "row {i}");
+            // The three-member count is the reference for both.
+            let [mlp, forest, gnb] = bundle.votes(raw.row(i));
+            assert_eq!(got, [mlp, forest, gnb].iter().filter(|&&v| v).count() >= 2);
+            split += usize::from(forest != gnb);
         }
+        assert_eq!(escalated, split);
 
         // Empty batch is a no-op; scratch reuse gives identical output.
         bundle.votes_batch(&[], raw.n_features(), &mut scratch, &mut batched);

@@ -10,12 +10,20 @@
 //! and register-tile remainders) and non-finite feature values, plus a
 //! property test over random batches.
 //!
+//! `votes_batch` and `ensemble_vote` both exit early — the MLP votes
+//! only where GNB and the forest split — so agreeing with each other
+//! proves nothing about the rule. Their reference is the majority over
+//! `ModelBundle::votes`, which always evaluates all three members, on a
+//! bundle trained so the cheap members really do split.
+//!
 //! The same holds one level up: the threaded runtime, which routes and
 //! scores events in channel-message batches, must store per flow exactly
 //! the verdict sequence the one-thread `run_sync` driver stores.
 
 use amlight::core::source::ReplaySource;
-use amlight::core::trainer::{dataset_from_events, train_bundle, TrainerConfig, VoteScratch};
+use amlight::core::trainer::{
+    dataset_from_events, train_bundle, ModelBundle, TrainerConfig, VoteScratch,
+};
 use amlight::core::{DetectionPipeline, PipelineConfig, ThreadedPipeline};
 use amlight::features::FeatureSet;
 use amlight::int::{HopMetadata, InstructionSet, TelemetryReport};
@@ -26,7 +34,9 @@ use amlight::ml::{
 };
 use amlight::net::{FlowKey, Protocol, TrafficClass};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// Two deterministic interleaved clusters, jittered enough that trees
 /// actually split and the MLP trains non-trivially.
@@ -197,6 +207,163 @@ fn ensemble_votes_batch_matches_per_row_votes() {
     }
 }
 
+/// XOR of the signs of the first two features, the other 13 columns
+/// noise. Both classes share every per-feature mean and variance, so GNB
+/// is left guessing near its prior while the forest learns the
+/// quadrants: the two cheap members split on a large share of rows and
+/// the MLP's tie-break really runs.
+fn xor_rows(n: usize) -> Dataset {
+    let mut d = Dataset::new(15);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+    };
+    for _ in 0..n {
+        let row: Vec<f64> = (0..15).map(|_| 3.0 * unit()).collect();
+        d.push(&row, (row[0] > 0.0) != (row[1] > 0.0));
+    }
+    d
+}
+
+/// The bundle every early-exit test votes with (trained once).
+fn xor_bundle() -> &'static ModelBundle {
+    static BUNDLE: OnceLock<ModelBundle> = OnceLock::new();
+    BUNDLE.get_or_init(|| {
+        train_bundle(
+            &xor_rows(600),
+            FeatureSet::full(),
+            &TrainerConfig {
+                mlp: MlpConfig {
+                    epochs: 3,
+                    ..MlpConfig::paper_mlp()
+                },
+                ..Default::default()
+            },
+        )
+    })
+}
+
+/// 2-of-3 counted over all three members — the reference the early exit
+/// must reproduce.
+fn three_member_majority(bundle: &ModelBundle, row: &[f64]) -> bool {
+    bundle.votes(row).iter().filter(|&&v| v).count() >= 2
+}
+
+/// Rows (of `rows`, 15 wide) on which GNB and the forest split.
+fn cheap_splits(bundle: &ModelBundle, rows: &[f64]) -> usize {
+    rows.chunks_exact(15)
+        .filter(|row| {
+            let [_, forest, gnb] = bundle.votes(row);
+            forest != gnb
+        })
+        .count()
+}
+
+/// `votes_batch` over `rows` must equal the three-member majority row
+/// for row, escalate exactly the rows the cheap members split on, and
+/// `ensemble_vote` must say the same.
+fn assert_early_exit_is_exact(
+    bundle: &ModelBundle,
+    rows: &[f64],
+    scratch: &mut VoteScratch,
+) -> usize {
+    let mut out = Vec::new();
+    let escalated = bundle.votes_batch(rows, 15, scratch, &mut out);
+    assert_eq!(out.len(), rows.len() / 15);
+    assert_eq!(escalated, cheap_splits(bundle, rows));
+    for (r, (row, &got)) in rows.chunks_exact(15).zip(&out).enumerate() {
+        let want = three_member_majority(bundle, row);
+        assert_eq!(got, want, "batched decision diverged at row {r}");
+        assert_eq!(bundle.ensemble_vote(row), want, "per-row, row {r}");
+    }
+    escalated
+}
+
+#[test]
+fn early_exit_matches_three_member_majority_where_cheap_members_split() {
+    let bundle = xor_bundle();
+    let fresh = xor_rows(2_000);
+    let mut scratch = VoteScratch::default();
+    let escalated = assert_early_exit_is_exact(bundle, fresh.raw(), &mut scratch);
+    // Not vacuous: both the agree path and the escalation path ran.
+    assert!(
+        escalated > fresh.len() / 20 && escalated < fresh.len() * 19 / 20,
+        "{escalated} of {} rows escalated",
+        fresh.len()
+    );
+
+    // Sizes whose gathered sub-batches land on and around the forest's
+    // 4-row lockstep tail and the MLP's 8-row tile tail; one scratch
+    // throughout, so every call also reuses the previous call's buffers.
+    for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 255, 256, 257] {
+        for offset in [0usize, 1, 2, 3] {
+            let rows = &fresh.raw()[offset * 15..(offset + n) * 15];
+            assert_early_exit_is_exact(bundle, rows, &mut scratch);
+        }
+    }
+}
+
+#[test]
+fn early_exit_clamps_non_finite_rows_like_the_three_member_count() {
+    let bundle = xor_bundle();
+    let mut rows = block(&xor_rows(40), 40);
+    // One poisoned value per affected row, in the columns the forest
+    // splits on and in a noise column, so every member sees some.
+    for (row, col, v) in [
+        (0, 0, f64::NAN),
+        (3, 1, f64::NAN),
+        (4, 0, f64::INFINITY),
+        (9, 1, f64::NEG_INFINITY),
+        (17, 7, f64::NAN),
+        (18, 14, f64::INFINITY),
+        (39, 0, f64::NEG_INFINITY),
+    ] {
+        rows[row * 15 + col] = v;
+    }
+    // A row of nothing but NaN: GNB's posterior is NaN, which `decide`
+    // clamps to a benign vote — so the early exit must count it as one
+    // (attack only if the forest and then the MLP both say so), which
+    // the three-member reference below holds it to.
+    rows[20 * 15..21 * 15].fill(f64::NAN);
+    assert_early_exit_is_exact(bundle, &rows, &mut VoteScratch::default());
+    let [_, _, gnb] = bundle.votes(&rows[20 * 15..21 * 15]);
+    assert!(!gnb, "NaN posterior must clamp to benign");
+}
+
+#[test]
+fn vote_scratch_reuse_leaves_no_stale_rows_or_indices() {
+    let bundle = xor_bundle();
+    let data = xor_rows(700);
+    let (large, small) = (&data.raw()[..600 * 15], &data.raw()[600 * 15..612 * 15]);
+    let fresh = |rows: &[f64]| {
+        let mut out = Vec::new();
+        let escalated = bundle.votes_batch(rows, 15, &mut VoteScratch::default(), &mut out);
+        (escalated, out)
+    };
+    let (want_large, want_small) = (fresh(large), fresh(small));
+    assert!(want_large.0 > want_small.0 && want_small.0 > 0);
+
+    let mut scratch = VoteScratch::default();
+    let mut out = Vec::new();
+    // Small first (scratch grows under the large one), large first
+    // (the small one sees a scratch full of the large one's leftovers),
+    // and an empty batch in between.
+    for (rows, want) in [
+        (small, &want_small),
+        (large, &want_large),
+        (small, &want_small),
+        (&[][..], &(0, Vec::new())),
+        (small, &want_small),
+        (large, &want_large),
+    ] {
+        let escalated = bundle.votes_batch(rows, 15, &mut scratch, &mut out);
+        assert_eq!((escalated, &out), (want.0, &want.1));
+    }
+}
+
 /// 12 benign flows at 1 ms cadence interleaved with 6 flood flows at
 /// 3 µs cadence, in export order.
 fn labeled_capture(n: u64) -> Vec<(TelemetryReport, TrafficClass)> {
@@ -250,6 +417,20 @@ fn threaded_batches_store_the_verdict_sequences_run_sync_stores() {
     sync.run_sync(&labeled);
     let expected = sync.database().verdict_sequences();
     assert_eq!(expected.len(), 18);
+    // What the runtime must report as escalated, counted independently:
+    // every update after a flow's first is predicted, and it needs the
+    // MLP exactly when the forest and GNB split on its feature row.
+    let rows = dataset_from_events(&labeled, FeatureSet::full());
+    let mut seen = HashSet::new();
+    let expected_escalated = labeled
+        .iter()
+        .enumerate()
+        .filter(|(_, (report, _))| !seen.insert(report.flow))
+        .filter(|&(i, _)| {
+            let [_, forest, gnb] = bundle.votes(rows.row(i));
+            forest != gnb
+        })
+        .count() as u64;
 
     for shards in [1usize, 2, 8] {
         let threaded = ThreadedPipeline::new(bundle.clone()).with_shards(shards);
@@ -263,17 +444,30 @@ fn threaded_batches_store_the_verdict_sequences_run_sync_stores() {
             expected,
             "{shards} shards"
         );
+        assert_eq!(stats.rows_scored, stats.predictions);
+        assert_eq!(stats.rows_escalated, expected_escalated, "{shards} shards");
     }
 }
 
 proptest! {
+    #[test]
+    fn random_batches_vote_the_three_member_majority(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(-4.0f64..4.0, 15),
+            0..70,
+        ),
+    ) {
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        assert_early_exit_is_exact(xor_bundle(), &flat, &mut VoteScratch::default());
+    }
+
+    #[test]
     fn random_batches_are_bit_identical(
         rows in proptest::collection::vec(
             proptest::collection::vec(-1e3f64..1e3, 5),
             0..40,
         ),
     ) {
-        use std::sync::OnceLock;
         static MODELS: OnceLock<(RandomForest, GradientBoost, GaussianNb, Mlp)> = OnceLock::new();
         let (rf, gb, gnb, mlp) = MODELS.get_or_init(|| {
             let d = blobs(80, 5);
