@@ -23,13 +23,11 @@
 
 pub mod reference;
 pub mod sharded;
-pub mod stats;
 pub mod table;
 pub mod triage;
 pub mod vector;
 
 pub use sharded::ShardRouter;
-pub use stats::StreamingStats;
 pub use table::{FlowRecord, FlowTable, FlowTableConfig, FlowUpdate, UpdateKind};
 pub use triage::{
     EntropySketch, PrefilterMode, TriageConfig, TriageCounters, TriageDecision, TriageStage,

@@ -77,7 +77,7 @@ impl HashFlowTable {
             std::collections::hash_map::Entry::Occupied(_) => UpdateKind::Updated,
             std::collections::hash_map::Entry::Vacant(_) => UpdateKind::Created,
         };
-        let rec = entry.or_insert_with(|| FlowRecord::new(key, now_ns));
+        let rec = entry.or_insert_with(|| FlowRecord::new(key));
         if kind == UpdateKind::Created {
             self.created += 1;
         } else {
@@ -147,11 +147,11 @@ mod tests {
             let s = sample(port, ts);
             let (hk, hr) = hash.apply(&s);
             // Rust won't let both mutable borrows overlap; compare eagerly.
-            let (hk, hseq, hcount) = (hk, hr.update_seq, hr.packet_count);
+            let (hk, hseq, hcount) = (hk, hr.update_seq, hr.packet_count());
             let (sk, sr) = slab.apply(&s);
             assert_eq!(hk, sk);
             assert_eq!(hseq, sr.update_seq);
-            assert_eq!(hcount, sr.packet_count);
+            assert_eq!(hcount, sr.packet_count());
         }
         assert_eq!(hash.len(), slab.len());
         assert_eq!(hash.created(), slab.created());

@@ -1,6 +1,5 @@
 //! The flow table: one record per *Flow ID*, updated per telemetry event.
 
-use crate::stats::StreamingStats;
 use crate::vector::{FeatureId, FeatureVector};
 use amlight_net::flow::FnvBuildHasher;
 use amlight_net::{FlowKey, Protocol};
@@ -50,52 +49,114 @@ pub enum UpdateKind {
     Updated,
 }
 
-/// Per-flow state: latest packet-level fields plus streaming aggregates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FlowRecord {
-    pub key: FlowKey,
-    /// Collector-clock time the record was created, ns.
-    pub first_seen_ns: u64,
-    /// Collector-clock time of the latest update, ns.
-    pub last_seen_ns: u64,
-    /// Monotone per-record update sequence (0 = just created).
-    pub update_seq: u64,
-
-    // -- packet-level (replaced each packet) --
-    pub last_packet_len: u16,
-    /// Inter-arrival time derived from consecutive telemetry stamps, s.
-    pub last_inter_arrival_s: f64,
-    pub last_queue_occ: u32,
-    /// Previous 32-bit telemetry stamp (INT path).
-    last_stamp32: Option<u32>,
-    /// Previous full-width observation time (sFlow path), ns.
-    last_observed_ns: Option<u64>,
-
-    // -- flow-level aggregates --
-    pub packet_count: u64,
-    pub byte_count: u64,
-    pub len_stats: StreamingStats,
-    pub iat_stats: StreamingStats,
-    pub qocc_stats: StreamingStats,
+/// Welford running mean and sum of squared deviations (numerically
+/// stable where a naive sum/sum-of-squares cancels catastrophically).
+///
+/// The observation count is the caller's: packet length takes it from
+/// the record's `update_seq + 1`, so it is not stored twice. `mean` is 0
+/// until the first observation — the paper initializes flow-level values
+/// at 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Moments {
+    mean: f64,
+    m2: f64,
 }
 
+impl Moments {
+    /// Fold in `x` as observation number `n` (1-based).
+    #[inline]
+    fn add(&mut self, n: u64, x: f64) {
+        let delta = x - self.mean;
+        self.mean += delta / n as f64;
+        let delta2 = x - self.mean;
+        self.m2 += delta * delta2;
+    }
+
+    /// Population standard deviation of `n` observations; 0 for fewer
+    /// than two.
+    fn std(&self, n: u64) -> f64 {
+        if n < 2 {
+            0.0
+        } else {
+            (self.m2 / n as f64).max(0.0).sqrt()
+        }
+    }
+}
+
+/// Per-flow state: latest packet-level fields plus streaming aggregates.
+///
+/// Under a spoofed flood every packet is a new Flow ID, so this record's
+/// size is what an attacker spends collector memory with. It keeps only
+/// what [`FlowRecord::features`], triage and eviction read — 144 B, a
+/// ceiling checked at compile time:
+///
+/// | group | fields | bytes |
+/// |---|---|---|
+/// | identity | `key`, `last_seen_ns`, `update_seq` (packet count − 1) | 14 + 16 |
+/// | length | `last_packet_len`, `byte_count`, Welford mean/M2 | 2 + 8 + 16 |
+/// | inter-arrival | `last_inter_arrival_s`, count, mean/M2, sum (the duration) | 8 + 8 + 16 + 8 |
+/// | queue | `last_queue_occ`, count, mean/M2 | 4 + 8 + 16 |
+/// | previous clocks | 32-bit stamp, 64-bit observation time, two presence flags | 4 + 8 + 2 |
+/// | alignment padding | | 6 |
+#[derive(Debug, Clone)]
+pub struct FlowRecord {
+    pub key: FlowKey,
+    /// Collector-clock time of the latest update, ns.
+    pub last_seen_ns: u64,
+    /// Monotone per-record update sequence (0 = just created); the
+    /// record has seen `update_seq + 1` packets.
+    pub update_seq: u64,
+
+    // -- packet length --
+    pub last_packet_len: u16,
+    pub byte_count: u64,
+    len: Moments,
+
+    // -- inter-arrival --
+    /// Inter-arrival time derived from consecutive telemetry stamps, s.
+    pub last_inter_arrival_s: f64,
+    iat_count: u64,
+    iat: Moments,
+    /// Cumulative inter-arrival time, s.
+    iat_sum: f64,
+
+    // -- queue occupancy --
+    pub last_queue_occ: u32,
+    qocc_count: u64,
+    qocc: Moments,
+
+    // -- previous clocks --
+    /// Previous 32-bit telemetry stamp (INT path); valid iff `has_stamp32`.
+    last_stamp32: u32,
+    /// Previous full-width observation time (sFlow path), ns; valid iff
+    /// `has_observed_ns`.
+    last_observed_ns: u64,
+    has_stamp32: bool,
+    has_observed_ns: bool,
+}
+
+const _: () = assert!(size_of::<FlowRecord>() <= 144);
+
 impl FlowRecord {
-    pub(crate) fn new(key: FlowKey, now_ns: u64) -> Self {
+    pub(crate) fn new(key: FlowKey) -> Self {
         Self {
             key,
-            first_seen_ns: now_ns,
-            last_seen_ns: now_ns,
+            last_seen_ns: 0,
             update_seq: 0,
             last_packet_len: 0,
-            last_inter_arrival_s: 0.0,
-            last_queue_occ: 0,
-            last_stamp32: None,
-            last_observed_ns: None,
-            packet_count: 0,
             byte_count: 0,
-            len_stats: StreamingStats::new(),
-            iat_stats: StreamingStats::new(),
-            qocc_stats: StreamingStats::new(),
+            len: Moments::default(),
+            last_inter_arrival_s: 0.0,
+            iat_count: 0,
+            iat: Moments::default(),
+            iat_sum: 0.0,
+            last_queue_occ: 0,
+            qocc_count: 0,
+            qocc: Moments::default(),
+            last_stamp32: 0,
+            last_observed_ns: 0,
+            has_stamp32: false,
+            has_observed_ns: false,
         }
     }
 
@@ -104,7 +165,9 @@ impl FlowRecord {
     /// into the aggregates. This is the *entire* per-event record update,
     /// shared by the slab table and the reference hashmap table
     /// ([`crate::reference::HashFlowTable`]) so their records are
-    /// bit-identical by construction.
+    /// bit-identical by construction. The caller has already bumped
+    /// `update_seq` for an existing record, so this packet is number
+    /// `update_seq + 1`.
     pub(crate) fn observe(
         &mut self,
         now_ns: u64,
@@ -117,66 +180,72 @@ impl FlowRecord {
         // uses the full-width agent clock. sFlow samples can arrive out
         // of order (UDP transport, multiple agents), so the full-width
         // difference saturates instead of underflowing.
-        let iat_s = match (
-            stamp32,
-            self.last_stamp32,
-            observed_ns,
-            self.last_observed_ns,
-        ) {
-            (Some(s), Some(prev), _, _) => Some(f64::from(s.wrapping_sub(prev)) / 1e9),
-            (_, _, Some(o), Some(prev)) => Some(o.saturating_sub(prev) as f64 / 1e9),
+        let iat_s = match (stamp32, observed_ns) {
+            (Some(s), _) if self.has_stamp32 => {
+                Some(f64::from(s.wrapping_sub(self.last_stamp32)) / 1e9)
+            }
+            (_, Some(o)) if self.has_observed_ns => {
+                Some(o.saturating_sub(self.last_observed_ns) as f64 / 1e9)
+            }
             _ => None,
         };
         if let Some(s) = stamp32 {
-            self.last_stamp32 = Some(s);
+            self.last_stamp32 = s;
+            self.has_stamp32 = true;
         }
         if let Some(o) = observed_ns {
-            self.last_observed_ns = Some(o);
+            self.last_observed_ns = o;
+            self.has_observed_ns = true;
         }
-        self.push_packet(now_ns, len, iat_s, qocc);
-    }
 
-    fn push_packet(&mut self, now_ns: u64, len: u16, iat_s: Option<f64>, qocc: Option<u32>) {
         self.last_seen_ns = now_ns;
         self.last_packet_len = len;
-        self.packet_count += 1;
         self.byte_count += u64::from(len);
-        self.len_stats.push(f64::from(len)); // amlint: cold -- RunningStats is constant-space
+        self.len.add(self.packet_count(), f64::from(len));
         if let Some(iat) = iat_s {
             self.last_inter_arrival_s = iat;
-            self.iat_stats.push(iat); // amlint: cold -- RunningStats is constant-space
+            self.iat_count += 1;
+            self.iat_sum += iat;
+            self.iat.add(self.iat_count, iat);
         }
         if let Some(q) = qocc {
             self.last_queue_occ = q;
-            self.qocc_stats.push(f64::from(q)); // amlint: cold -- RunningStats is constant-space
+            self.qocc_count += 1;
+            self.qocc.add(self.qocc_count, f64::from(q));
         }
+    }
+
+    /// Packets folded into this record.
+    pub fn packet_count(&self) -> u64 {
+        self.update_seq + 1
     }
 
     /// Flow duration as the paper computes it: cumulative inter-arrival
     /// time (Table II note). Inherits 32-bit aliasing on the INT path.
     pub fn duration_s(&self) -> f64 {
-        self.iat_stats.sum()
+        self.iat_sum
     }
 
     /// Build the canonical 15-feature vector for the current state.
     pub fn features(&self) -> FeatureVector {
+        let packets = self.packet_count();
         let mut v = FeatureVector::default();
         v.set(FeatureId::Protocol, f64::from(self.key.protocol.number()));
         v.set(FeatureId::PacketLen, f64::from(self.last_packet_len));
         v.set(FeatureId::PacketLenCum, self.byte_count as f64);
-        v.set(FeatureId::PacketLenAvg, self.len_stats.mean());
-        v.set(FeatureId::PacketLenStd, self.len_stats.std());
+        v.set(FeatureId::PacketLenAvg, self.len.mean);
+        v.set(FeatureId::PacketLenStd, self.len.std(packets));
         v.set(FeatureId::InterArrival, self.last_inter_arrival_s);
         v.set(FeatureId::InterArrivalCum, self.duration_s());
-        v.set(FeatureId::InterArrivalAvg, self.iat_stats.mean());
-        v.set(FeatureId::InterArrivalStd, self.iat_stats.std());
+        v.set(FeatureId::InterArrivalAvg, self.iat.mean);
+        v.set(FeatureId::InterArrivalStd, self.iat.std(self.iat_count));
         v.set(FeatureId::QueueOcc, f64::from(self.last_queue_occ));
-        v.set(FeatureId::QueueOccAvg, self.qocc_stats.mean());
-        v.set(FeatureId::QueueOccStd, self.qocc_stats.std());
-        v.set(FeatureId::PacketCount, self.packet_count as f64);
+        v.set(FeatureId::QueueOccAvg, self.qocc.mean);
+        v.set(FeatureId::QueueOccStd, self.qocc.std(self.qocc_count));
+        v.set(FeatureId::PacketCount, packets as f64);
         let dur = self.duration_s();
         if dur > 0.0 {
-            v.set(FeatureId::PacketsPerSec, self.packet_count as f64 / dur);
+            v.set(FeatureId::PacketsPerSec, packets as f64 / dur);
             v.set(FeatureId::BytesPerSec, self.byte_count as f64 / dur);
         }
         v
@@ -209,6 +278,14 @@ const EMPTY: u32 = u32::MAX;
 /// Buckets allocated on the first insert (power of two).
 const INITIAL_BUCKETS: usize = 16;
 
+/// Slab (and hash array) entries reserved on the first insert. At 144 B
+/// a record, 1 024 of them are past glibc's default 128 KiB mmap
+/// threshold, so the slab is its own mapping from the start instead of
+/// doubling up through small sizes that land in the inserting thread's
+/// malloc arena (measured on `bench_e2e` `day_triage`, seed 1: peak
+/// resident memory 123.7 MiB without the reservation, 85.6 with it).
+const INITIAL_SLOTS: usize = 1024;
+
 /// The flow table: a slab of records plus a compact open-addressing
 /// index keyed by the [`FlowKey`]'s FNV hash.
 ///
@@ -238,7 +315,7 @@ const INITIAL_BUCKETS: usize = 16;
 /// };
 /// let (kind, record) = table.apply(&update);
 /// assert_eq!(kind, UpdateKind::Created);
-/// assert_eq!(record.packet_count, 1);
+/// assert_eq!(record.packet_count(), 1);
 /// ```
 #[derive(Debug)]
 pub struct FlowTable {
@@ -246,9 +323,11 @@ pub struct FlowTable {
     hasher: FnvBuildHasher,
     /// Dense slab of live records.
     slots: Vec<FlowRecord>,
-    /// Cached key hash per slot, parallel to `slots` (rehash-free index
-    /// growth and cheap bucket repair).
-    hashes: Vec<u64>,
+    /// Low 32 bits of each slot's key hash, parallel to `slots`
+    /// (rehash-free index growth and cheap bucket repair). Only low bits
+    /// place a bucket and key equality decides a match, so the upper half
+    /// would only ever spare a rare key comparison.
+    hashes: Vec<u32>,
     /// Open-addressing index: slot number or [`EMPTY`], linear probing,
     /// power-of-two length.
     buckets: Vec<u32>,
@@ -298,7 +377,7 @@ impl FlowTable {
     }
 
     pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        let slot = self.find_slot(*key, self.hasher.hash_one(*key))?;
+        let slot = self.find_slot(*key, self.key_hash(*key))?;
         self.slots.get(slot)
     }
 
@@ -316,7 +395,7 @@ impl FlowTable {
     pub fn apply(&mut self, update: &FlowUpdate) -> (UpdateKind, &FlowRecord) {
         let key = update.flow;
         let now_ns = update.now_ns;
-        let hash = self.hasher.hash_one(key);
+        let hash = self.key_hash(key);
         let (kind, slot) = match self.find_slot(key, hash) {
             Some(slot) => {
                 self.updated += 1;
@@ -328,7 +407,7 @@ impl FlowTable {
                     self.evict_idle(now_ns);
                 }
                 self.created += 1;
-                (UpdateKind::Created, self.insert_slot(key, hash, now_ns))
+                (UpdateKind::Created, self.insert_slot(key, hash))
             }
         };
         self.slots[slot].observe(
@@ -344,29 +423,31 @@ impl FlowTable {
     /// Evict records idle past the timeout as of `now_ns`. Returns the
     /// number evicted. If nothing is idle but the table is over capacity,
     /// evicts the single longest-idle record (to guarantee progress).
-    // amlint: allow(R8) -- `i < slots.len()` loop bound; oldest index from enumerate()
+    // amlint: allow(R8) -- `i < slots.len()` loop bound; oldest index recorded by that loop
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
         let deadline = now_ns.saturating_sub(self.cfg.idle_timeout_ns);
         let before = self.slots.len();
+        // The first strictly-oldest survivor and its clock: the fallback
+        // victim. Its index is read only when the sweep removed nothing,
+        // and a sweep that removed nothing moved nothing.
+        let mut oldest: Option<(usize, u64)> = None;
         let mut i = 0usize;
         while i < self.slots.len() {
-            if self.slots[i].last_seen_ns < deadline {
+            let seen = self.slots[i].last_seen_ns;
+            if seen < deadline {
                 // swap_remove refills slot i with the last record; do not
                 // advance, the replacement needs the same check.
                 self.remove_slot(i);
             } else {
+                if oldest.is_none_or(|(_, t)| seen < t) {
+                    oldest = Some((i, seen));
+                }
                 i += 1;
             }
         }
         let mut evicted = before - self.slots.len();
         if evicted == 0 && self.slots.len() >= self.cfg.max_flows {
-            let oldest = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.last_seen_ns)
-                .map(|(i, _)| i);
-            if let Some(slot) = oldest {
+            if let Some((slot, _)) = oldest {
                 self.remove_slot(slot);
                 evicted = 1;
             }
@@ -387,12 +468,18 @@ impl FlowTable {
 
     // ---- slab / index internals -------------------------------------
 
+    /// The key's FNV hash, truncated to the 32 bits the index keeps.
+    #[inline]
+    fn key_hash(&self, key: FlowKey) -> u32 {
+        self.hasher.hash_one(key) as u32
+    }
+
     /// Linear-probe lookup. The load factor is capped below 1 (see
     /// [`FlowTable::insert_slot`]), so an empty bucket always terminates
     /// the probe.
     // amlint: allow(R8) -- buckets.len() is a power of two, probes masked; load < 1 terminates
     #[inline]
-    fn find_slot(&self, key: FlowKey, hash: u64) -> Option<usize> {
+    fn find_slot(&self, key: FlowKey, hash: u32) -> Option<usize> {
         if self.buckets.is_empty() {
             return None;
         }
@@ -414,7 +501,7 @@ impl FlowTable {
     /// Append a fresh record to the slab and index it. Grows the bucket
     /// array (outside steady state) to keep load ≤ 7/8.
     // amlint: allow(R8) -- probes masked by power-of-two bucket len
-    fn insert_slot(&mut self, key: FlowKey, hash: u64, now_ns: u64) -> usize {
+    fn insert_slot(&mut self, key: FlowKey, hash: u32) -> usize {
         if (self.slots.len() + 1) * 8 > self.buckets.len() * 7 {
             self.grow_buckets();
         }
@@ -425,15 +512,20 @@ impl FlowTable {
         }
         let slot = self.slots.len();
         self.buckets[b] = slot as u32;
-        self.slots.push(FlowRecord::new(key, now_ns)); // amlint: cold -- slab append, amortized
+        self.slots.push(FlowRecord::new(key)); // amlint: cold -- slab append, amortized
         self.hashes.push(hash); // amlint: cold -- slab append, amortized
         slot
     }
 
     /// Double the bucket array and re-index every slot from its cached
-    /// hash (records are never touched).
+    /// hash (records are never touched). The first call, on the first
+    /// insert, also reserves `INITIAL_SLOTS` slab entries.
     // amlint: cold -- bucket doubling happens outside steady state by definition
     fn grow_buckets(&mut self) {
+        if self.buckets.is_empty() {
+            self.slots.reserve_exact(INITIAL_SLOTS);
+            self.hashes.reserve_exact(INITIAL_SLOTS);
+        }
         let new_cap = (self.buckets.len() * 2).max(INITIAL_BUCKETS);
         self.buckets.clear();
         self.buckets.resize(new_cap, EMPTY);
@@ -539,7 +631,7 @@ mod tests {
         let (kind, rec) = t.apply(&report(1, 1000, 1000, 40, 3));
         assert_eq!(kind, UpdateKind::Created);
         assert_eq!(rec.update_seq, 0);
-        assert_eq!(rec.packet_count, 1);
+        assert_eq!(rec.packet_count(), 1);
         assert_eq!(rec.last_packet_len, 40);
         assert_eq!(rec.last_inter_arrival_s, 0.0, "no IAT on first packet");
         assert_eq!(rec.last_queue_occ, 3);
@@ -554,7 +646,7 @@ mod tests {
         let (kind, rec) = t.apply(&report(1, 2_000_000, 2_001_000, 1400, 5));
         assert_eq!(kind, UpdateKind::Updated);
         assert_eq!(rec.update_seq, 1);
-        assert_eq!(rec.packet_count, 2);
+        assert_eq!(rec.packet_count(), 2);
         // IAT = (2_001_000 - 1_000) ns = 2 ms.
         assert!((rec.last_inter_arrival_s - 0.002).abs() < 1e-12);
         assert_eq!(rec.last_packet_len, 1400, "packet-level fields replaced");
@@ -622,7 +714,7 @@ mod tests {
         let (kind, rec) = t.apply(&s2);
         assert_eq!(kind, UpdateKind::Updated);
         assert_eq!(rec.last_queue_occ, 0);
-        assert!(rec.qocc_stats.is_empty());
+        assert_eq!(rec.qocc_count, 0);
         assert!((rec.last_inter_arrival_s - 0.002).abs() < 1e-12);
     }
 
@@ -756,6 +848,46 @@ mod tests {
             live = kept.to_vec();
         }
         assert_eq!(t.len(), live.len());
+    }
+
+    fn moments_of(xs: &[f64]) -> Moments {
+        let mut m = Moments::default();
+        for (i, &x) in xs.iter().enumerate() {
+            m.add(i as u64 + 1, x);
+        }
+        m
+    }
+
+    #[test]
+    fn moments_match_two_pass_reference() {
+        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
+        let m = moments_of(&xs);
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let std = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n).sqrt();
+        assert!((m.mean - mean).abs() < 1e-12);
+        assert!((m.std(xs.len() as u64) - std).abs() < 1e-12);
+        assert_eq!(
+            moments_of(&[7.5]).std(1),
+            0.0,
+            "one observation has no spread"
+        );
+        assert_eq!(Moments::default().mean, 0.0, "empty mean is the paper's 0");
+    }
+
+    #[test]
+    fn moments_stable_for_large_offset_small_variance() {
+        // The classic catastrophic-cancellation case for naive sums.
+        let xs: Vec<f64> = (0..1000).map(|i| 1e9 + (i % 2) as f64).collect();
+        let std = moments_of(&xs).std(xs.len() as u64);
+        assert!((std - 0.5).abs() < 1e-6, "std {std}");
+    }
+
+    #[test]
+    fn moments_variance_never_negative() {
+        let xs = [0.1 + 0.2; 100]; // representation noise
+        let std = moments_of(&xs).std(xs.len() as u64);
+        assert!(std >= 0.0, "std {std}"); // also rules out NaN
     }
 
     #[test]
