@@ -315,6 +315,7 @@ fn cmd_detect(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let prefilter = prefilter_mode(args)?;
     if args.has("threaded") || adapt || prefilter != PrefilterMode::Off {
         let shards = args.get_u64("shards", 1).map_err(bad)? as usize;
+        let n_trees = bundle.forest.n_trees();
         let mut pipeline = ThreadedPipeline::new(bundle)
             .with_shards(shards.max(1))
             .with_prefilter(prefilter);
@@ -323,7 +324,7 @@ fn cmd_detect(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
         }
         let handle = pipeline.start(ReplaySource::new(view));
         let stats = handle.join().map_err(bad)?;
-        print_threaded(&stats, backend, out)?;
+        print_threaded(&stats, backend, n_trees, out)?;
         if adapt {
             let a = stats.adapt;
             writeln!(
@@ -406,6 +407,7 @@ fn cmd_detect_listen(args: &Args, out: &mut impl Write) -> Result<(), CliError> 
     let prefilter = prefilter_mode(args)?;
     let bundle = ModelBundle::load(args.get("bundle", "bundle.json"))?;
     validate_bundle(&bundle, backend)?;
+    let n_trees = bundle.forest.n_trees();
 
     let server = IngestServer::bind(ListenerConfig::new(addr, protocol).listeners(listeners))
         .map_err(CliError::Io)?;
@@ -448,7 +450,7 @@ fn cmd_detect_listen(args: &Args, out: &mut impl Write) -> Result<(), CliError> 
         ingest.decode_errors,
         ingest.events_dropped,
     )?;
-    print_threaded(&stats, backend, out)?;
+    print_threaded(&stats, backend, n_trees, out)?;
     if args.has("require-clean") {
         if ingest.events_decoded == 0 || ingest.decode_errors > 0 || predictions == 0 {
             return Err(CliError::Usage(format!(
@@ -560,6 +562,7 @@ fn cmd_replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 fn print_threaded(
     stats: &amlight_core::runtime::ThreadedRunStats,
     backend: TelemetryBackend,
+    n_trees: usize,
     out: &mut impl Write,
 ) -> Result<(), CliError> {
     writeln!(
@@ -577,10 +580,11 @@ fn print_threaded(
     )?;
     writeln!(
         out,
-        "ensemble: {} rows, {} escalated to MLP ({:.1} %)",
+        "ensemble: {} rows, {} escalated to MLP ({:.1} %), forest walked {:.1} of {n_trees} trees per row",
         stats.rows_scored,
         stats.rows_escalated,
         100.0 * stats.rows_escalated as f64 / stats.rows_scored.max(1) as f64,
+        stats.trees_walked as f64 / stats.rows_scored.max(1) as f64,
     )?;
     if stats.labeled.labeled_updates() > 0 {
         writeln!(
@@ -787,11 +791,32 @@ mod tests {
             text.contains("ensemble: ") && text.contains(" escalated to MLP ("),
             "{text}"
         );
+        // The --fast forest has 10 trees; a row walks at least the 5 it
+        // takes to fix a vote, at most all 10.
+        let walked: f64 = text
+            .split("forest walked ")
+            .nth(1)
+            .and_then(|rest| rest.split(" of 10 trees per row").next())
+            .and_then(|n| n.parse().ok())
+            .expect("trees-walked figure");
+        assert!((5.0..=10.0).contains(&walked), "{text}");
         assert!(text.contains("labeled recall"), "{text}");
         assert!(text.contains("wall-clock prediction latency"), "{text}");
 
         let text = run_tokens(&["microburst", "--capture", cap_s]).unwrap();
         assert!(text.contains("microburst"), "{text}");
+
+        // A hand-edited leaf probability past 1 is a usage error naming
+        // the leaf, before any event is scored.
+        let json = std::fs::read_to_string(&bun).unwrap();
+        let leaf = "{\"Leaf\":{\"proba\":";
+        let at = json.find(leaf).unwrap() + leaf.len();
+        let end = at + json[at..].find('}').unwrap();
+        std::fs::write(&bun, format!("{}7.0{}", &json[..at], &json[end..])).unwrap();
+        let err = run_tokens(&["detect", "--capture", cap_s, "--bundle", bun_s]).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert!(err.to_string().contains("tree 0 node"), "{err}");
+        assert!(err.to_string().contains("probability 7"), "{err}");
 
         std::fs::remove_file(&cap).ok();
         std::fs::remove_file(&bun).ok();

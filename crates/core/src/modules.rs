@@ -306,17 +306,21 @@ impl<C: Clock> Processor<C> {
 /// predictor being rebuilt, and every batch is scored against exactly
 /// one epoch.
 ///
-/// The 2-of-3 vote exits early: the MLP scores only the rows GNB and the
-/// forest split on. The predictor tallies both populations, because the
-/// escalated share *is* the predictor's cost model — if it climbs (model
-/// drift, or traffic crafted to split the cheap members) the per-row
-/// cost climbs back toward the full three-member pass.
+/// The 2-of-3 vote exits early twice: the forest stops walking a row's
+/// trees once the rest cannot change its vote, and the MLP scores only
+/// the rows GNB and the forest split on. The predictor tallies the rows,
+/// the escalated rows and the trees walked, because those *are* the
+/// predictor's cost model — if the escalated share or the trees per row
+/// climb (model drift, or traffic crafted to split the cheap members or
+/// to hover at the forest's cut) the per-row cost climbs back toward
+/// the full three-member pass.
 #[derive(Debug)]
 pub struct Predictor {
     handle: EpochHandle,
     scratch: VoteScratch,
     rows_scored: u64,
     rows_escalated: u64,
+    trees_walked: u64,
 }
 
 impl Predictor {
@@ -335,6 +339,7 @@ impl Predictor {
             scratch: VoteScratch::default(),
             rows_scored: 0,
             rows_escalated: 0,
+            trees_walked: 0,
         }
     }
 
@@ -358,16 +363,22 @@ impl Predictor {
         self.rows_escalated
     }
 
+    /// Trees the forest walked over those rows: at most rows × trees,
+    /// less by whatever the forest's early exit saved.
+    pub fn trees_walked(&self) -> u64 {
+        self.trees_walked
+    }
+
     /// One columnar 2-of-3 ensemble pass over contiguous row-major raw
     /// feature rows; `decisions` is cleared and refilled in row order.
     /// Returns the model epoch the whole batch was scored against.
     pub fn predict(&mut self, rows: &[f64], decisions: &mut Vec<bool>) -> u64 {
         let current = self.handle.load();
         let bundle = current.bundle();
-        let escalated =
-            bundle.votes_batch(rows, bundle.feature_set.dim(), &mut self.scratch, decisions);
+        let cost = bundle.votes_batch(rows, bundle.feature_set.dim(), &mut self.scratch, decisions);
         self.rows_scored += decisions.len() as u64;
-        self.rows_escalated += escalated as u64;
+        self.rows_escalated += cost.escalated as u64;
+        self.trees_walked += cost.trees_walked;
         current.epoch()
     }
 }

@@ -128,6 +128,18 @@ pub struct VoteScratch {
     split_rows: Vec<f64>,
 }
 
+/// What one [`ModelBundle::votes_batch`] call cost beyond its rows'
+/// scaler, GNB and gather work — the two figures that vary with the
+/// bundle and the traffic.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VoteCost {
+    /// Rows GNB and the forest split on, which the MLP then scored.
+    pub escalated: usize,
+    /// Trees the forest walked, summed over the batch's rows (at most
+    /// rows × trees; the early exit stops once a vote is settled).
+    pub trees_walked: u64,
+}
+
 /// The 2-of-3 rule over the two votes taken first: when they agree that
 /// is the majority whatever the third member says, and when they split
 /// (`None`) the third member's vote *is* the majority. The one
@@ -156,37 +168,43 @@ impl ModelBundle {
     }
 
     /// The 2-of-3 ensemble decision for a raw feature row: GNB and the
-    /// forest vote, and the MLP is consulted only to break their tie —
-    /// the same majority [`ModelBundle::votes`] would count.
+    /// forest vote (the forest through its early-exit decision path), and
+    /// the MLP is consulted only to break their tie — the same majority
+    /// [`ModelBundle::votes`] would count.
     pub fn ensemble_vote(&self, raw_features: &[f64]) -> bool {
         let mut row = raw_features.to_vec();
         self.scaler.transform_row(&mut row);
-        settled(self.gnb.predict_one(&row), self.forest.predict_one(&row))
-            .unwrap_or_else(|| self.mlp.predict_one(&row))
+        let mut forest = [false];
+        self.forest.decide_batch(&row, row.len(), &mut forest);
+        settled(self.gnb.predict_one(&row), forest[0]).unwrap_or_else(|| self.mlp.predict_one(&row))
     }
 
     /// Batched 2-of-3 ensemble decisions over contiguous row-major raw
-    /// (unscaled) features, with an exact early exit: one scaler pass,
-    /// GNB and the forest score the whole batch through their columnar
-    /// `predict_proba_batch` paths, and only the rows those two split on
-    /// are gathered and escalated to the MLP — structurally the dearest
-    /// member — whose vote breaks the tie. Where the two agree the
-    /// majority is already theirs.
+    /// (unscaled) features, with two exact early exits: one scaler pass,
+    /// GNB scores the whole batch through its columnar
+    /// `predict_proba_batch`, the forest votes through
+    /// [`RandomForest::decide_batch`] (which stops walking a row's trees
+    /// once the rest cannot change its vote), and only the rows those two
+    /// split on are gathered and escalated to the MLP — structurally the
+    /// dearest member — whose vote breaks the tie. Where the two agree
+    /// the majority is already theirs.
     ///
     /// `out` is cleared and refilled with one decision per row, in row
-    /// order, bit-identical to the three-member count over
+    /// order, identical to the three-member count over
     /// [`ModelBundle::votes`]: every member kernel is bit-stable per row
-    /// whatever else shares its batch, and [`amlight_ml::decide`] is the
-    /// one threshold on every path. Returns how many rows were escalated
-    /// to the MLP; at worst (the cheap members split on every row) that
-    /// is the three-member cost plus one row copy each.
+    /// whatever else shares its batch, the forest's decision path equals
+    /// [`amlight_ml::decide`] on its probability path, and `decide` is
+    /// the one threshold on every path. At worst (the cheap members split
+    /// on every row, and every row's forest sum hovers at the cut) the
+    /// call costs the three-member pass plus one row copy and a few
+    /// compares per tree.
     pub fn votes_batch(
         &self,
         rows: &[f64],
         n_features: usize,
         scratch: &mut VoteScratch,
         out: &mut Vec<bool>,
-    ) -> usize {
+    ) -> VoteCost {
         assert!(n_features > 0 || rows.is_empty(), "rows need features");
         let n_rows = rows.len().checked_div(n_features).unwrap_or(0);
         assert_eq!(
@@ -198,28 +216,23 @@ impl ModelBundle {
         out.clear();
         out.resize(n_rows, false);
         if n_rows == 0 {
-            return 0;
+            return VoteCost::default();
         }
 
         scratch.scaled.clear();
         scratch.scaled.resize(rows.len(), 0.0);
         self.scaler.transform_into(rows, &mut scratch.scaled);
 
+        let trees_walked = self.forest.decide_batch(&scratch.scaled, n_features, out);
         scratch.proba.clear();
         scratch.proba.resize(n_rows, 0.0);
         self.gnb
-            .predict_proba_batch(&scratch.scaled, n_features, &mut scratch.proba);
-        for (o, &p) in out.iter_mut().zip(&scratch.proba) {
-            *o = amlight_ml::decide(p);
-        }
-
-        self.forest
             .predict_proba_batch(&scratch.scaled, n_features, &mut scratch.proba);
         scratch.split_idx.clear();
         scratch.split_idx.resize(n_rows, 0);
         let mut n_split = 0;
         for (i, (o, &p)) in out.iter_mut().zip(&scratch.proba).enumerate() {
-            match settled(*o, amlight_ml::decide(p)) {
+            match settled(amlight_ml::decide(p), *o) {
                 Some(majority) => *o = majority,
                 None => {
                     scratch.split_idx[n_split] = i;
@@ -227,8 +240,12 @@ impl ModelBundle {
                 }
             }
         }
+        let cost = VoteCost {
+            escalated: n_split,
+            trees_walked,
+        };
         if n_split == 0 {
-            return 0;
+            return cost;
         }
 
         let split_idx = &scratch.split_idx[..n_split];
@@ -247,7 +264,7 @@ impl ModelBundle {
         for (&i, &p) in split_idx.iter().zip(&*tie_break) {
             out[i] = amlight_ml::decide(p);
         }
-        n_split
+        cost
     }
 
     /// Wrap the three members as a [`MajorityEnsemble`] over *scaled*
@@ -273,8 +290,15 @@ impl ModelBundle {
     /// schema and fit on exactly the feature rows `set` produces. This
     /// is the load-time gate that turns "stale artifact" into a usage
     /// error instead of silent mispredictions.
+    ///
+    /// A forest leaf that is not a probability in [0, 1] is rejected
+    /// here too: [`RandomForest::decide_batch`]'s early exit is exact
+    /// only over valid leaves, and training never writes another kind.
     pub fn validate_for(&self, set: FeatureSet) -> Result<(), MetaError> {
         self.meta.validate(set.dim())?;
+        if let Some((tree, node, proba)) = self.forest.invalid_leaf() {
+            return Err(MetaError::ForestLeaf { tree, node, proba });
+        }
         if self.feature_set != set {
             // Same width but a different projection would also
             // mispredict; the widths of Int (15) and Sflow (12) differ
@@ -535,7 +559,7 @@ mod tests {
 
         let mut scratch = VoteScratch::default();
         let mut batched = Vec::new();
-        let escalated = bundle.votes_batch(raw.raw(), raw.n_features(), &mut scratch, &mut batched);
+        let cost = bundle.votes_batch(raw.raw(), raw.n_features(), &mut scratch, &mut batched);
         assert_eq!(batched.len(), raw.len());
         let mut split = 0;
         for (i, &got) in batched.iter().enumerate() {
@@ -545,11 +569,15 @@ mod tests {
             assert_eq!(got, [mlp, forest, gnb].iter().filter(|&&v| v).count() >= 2);
             split += usize::from(forest != gnb);
         }
-        assert_eq!(escalated, split);
+        assert_eq!(cost.escalated, split);
+        let n_trees = bundle.forest.n_trees() as u64;
+        let rows = raw.len() as u64;
+        assert!(cost.trees_walked > 0 && cost.trees_walked <= rows * n_trees);
 
         // Empty batch is a no-op; scratch reuse gives identical output.
-        bundle.votes_batch(&[], raw.n_features(), &mut scratch, &mut batched);
+        let empty = bundle.votes_batch(&[], raw.n_features(), &mut scratch, &mut batched);
         assert!(batched.is_empty());
+        assert_eq!(empty, VoteCost::default());
         bundle.votes_batch(raw.raw(), raw.n_features(), &mut scratch, &mut batched);
         for (i, &got) in batched.iter().enumerate() {
             assert_eq!(got, bundle.ensemble_vote(raw.row(i)));
@@ -630,6 +658,39 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn a_bundle_with_a_leaf_outside_zero_one_loads_but_is_rejected() {
+        let labeled = labeled_reports(40);
+        let raw = dataset_from_events(&labeled, FeatureSet::full());
+        let bundle = train_bundle(&raw, FeatureSet::full(), &TrainerConfig::default());
+        let path = std::env::temp_dir().join(format!(
+            "amlight-bundle-leaf-test-{}.json",
+            std::process::id()
+        ));
+        bundle.save(&path).expect("save");
+        let json = std::fs::read_to_string(&path).expect("read");
+        // Hand-edit the first leaf of the first tree: a value past 1, and
+        // `null`, which is how JSON carries a NaN.
+        let leaf = "{\"Leaf\":{\"proba\":";
+        let at = json.find(leaf).expect("a leaf") + leaf.len();
+        let end = at + json[at..].find('}').expect("leaf closes");
+        for (edit, shown) in [("1.5", "1.5"), ("null", "NaN")] {
+            std::fs::write(&path, format!("{}{edit}{}", &json[..at], &json[end..])).expect("write");
+            let damaged = ModelBundle::load(&path).expect("still valid JSON");
+            let err = damaged.validate_for(FeatureSet::full()).unwrap_err();
+            assert!(
+                matches!(err, MetaError::ForestLeaf { tree: 0, .. }),
+                "got {err:?}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("tree 0") && msg.contains(shown), "{msg}");
+        }
+        std::fs::write(&path, &json).expect("write");
+        let intact = ModelBundle::load(&path).expect("load");
+        std::fs::remove_file(&path).ok();
+        assert!(intact.validate_for(FeatureSet::full()).is_ok());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The early-exit gather in `ModelBundle::votes_batch` — split indices
-//! plus the gathered scaled rows the MLP tie-breaks on — performs no heap
-//! acquisition of its own once `VoteScratch` has grown to the working
-//! batch size: a steady-state call acquires exactly what the member
-//! kernels acquire on the same shapes (GNB's two hoisted-norm vectors,
-//! the MLP's transpose and activations), nothing more.
+//! `ModelBundle::votes_batch` performs no heap acquisition of its own
+//! once `VoteScratch` has grown to the working batch size, and neither
+//! do its cheap members: GNB's normalization terms live on the stack and
+//! the forest's decision path walks in place. So a steady-state batch
+//! that escalates nothing acquires nothing, and one that escalates rows
+//! acquires exactly what the MLP (its transpose and activations)
+//! acquires on those rows.
 //!
 //! One `#[test]` per binary: [`stats_alloc`] counts process-wide, so a
 //! sibling test running on another thread would be counted too.
@@ -32,7 +33,7 @@ fn xor_rows(n: usize) -> Dataset {
 }
 
 #[test]
-fn early_exit_gather_allocates_nothing_in_steady_state() {
+fn votes_batch_allocates_nothing_beyond_the_mlp_in_steady_state() {
     let data = xor_rows(600);
     let cfg = TrainerConfig {
         mlp: MlpConfig {
@@ -44,39 +45,68 @@ fn early_exit_gather_allocates_nothing_in_steady_state() {
     let bundle = train_bundle(&data, FeatureSet::full(), &cfg);
     let nf = data.n_features();
     let (large, small) = (data.raw(), &data.raw()[..64 * nf]);
+    // 64 rows the cheap members agree on: nothing to escalate.
+    let agreed: Vec<f64> = (0..data.len())
+        .map(|i| data.row(i))
+        .filter(|row| {
+            let [_, forest, gnb] = bundle.votes(row);
+            forest == gnb
+        })
+        .take(64)
+        .flatten()
+        .copied()
+        .collect();
+    assert_eq!(agreed.len(), 64 * nf);
 
     let mut scratch = VoteScratch::default();
     let mut out = Vec::new();
     // The one large batch grows every scratch buffer to its high-water
-    // mark; the small batch after it is the steady state.
-    let escalated_large = bundle.votes_batch(large, nf, &mut scratch, &mut out);
+    // mark; the small batches after it are the steady state.
+    let escalated_large = bundle
+        .votes_batch(large, nf, &mut scratch, &mut out)
+        .escalated;
     assert!(escalated_large > 0 && escalated_large < data.len());
-    let escalated = bundle.votes_batch(small, nf, &mut scratch, &mut out);
+    assert_eq!(
+        bundle
+            .votes_batch(&agreed, nf, &mut scratch, &mut out)
+            .escalated,
+        0
+    );
+    let escalated = bundle
+        .votes_batch(small, nf, &mut scratch, &mut out)
+        .escalated;
     assert!(escalated > 0 && escalated < 64, "{escalated} of 64");
 
-    // What the members acquire by themselves on those shapes: 64 rows
-    // through GNB and the forest, `escalated` rows through the MLP.
-    let mut proba = vec![0.0; 64];
     let region = stats_alloc::Region::new();
-    bundle.gnb.predict_proba_batch(small, nf, &mut proba);
-    bundle.forest.predict_proba_batch(small, nf, &mut proba);
+    let cost = bundle.votes_batch(&agreed, nf, &mut scratch, &mut out);
+    let acquisitions = region.change().acquisitions();
+    assert_eq!(cost.escalated, 0);
+    assert_eq!(
+        acquisitions, 0,
+        "votes_batch acquired heap on a batch nothing was escalated from"
+    );
+
+    // What the MLP acquires by itself on the escalated rows' shape.
+    let mut proba = vec![0.0; escalated];
+    let region = stats_alloc::Region::new();
     bundle
         .mlp
-        .predict_proba_batch(&small[..escalated * nf], nf, &mut proba[..escalated]);
-    let members = region.change().acquisitions();
+        .predict_proba_batch(&small[..escalated * nf], nf, &mut proba);
+    let mlp = region.change().acquisitions();
     assert!(
-        members > 0,
+        mlp > 0,
         "the counter must be live for equality to mean anything"
     );
 
     let region = stats_alloc::Region::new();
-    let again = bundle.votes_batch(small, nf, &mut scratch, &mut out);
+    let again = bundle
+        .votes_batch(small, nf, &mut scratch, &mut out)
+        .escalated;
     let acquisitions = region.change().acquisitions();
-
     assert_eq!(again, escalated);
     assert_eq!(
-        acquisitions, members,
-        "votes_batch acquired heap beyond its member kernels' own \
+        acquisitions, mlp,
+        "votes_batch acquired heap beyond the MLP's own \
          ({escalated} of 64 rows escalated)"
     );
 }

@@ -4,6 +4,16 @@ use crate::dataset::Dataset;
 use crate::model::BinaryClassifier;
 use serde::{Deserialize, Serialize};
 
+/// Widest model whose `ln(2πσ²)` terms the batch path hoists into stack
+/// tables: twice the widest feature row the detector builds.
+const HOISTED_WIDTH: usize = 32;
+
+/// A feature's Gaussian normalization term `ln(2πσ²)`.
+#[inline]
+fn ln_norm(var: f64) -> f64 {
+    (2.0 * std::f64::consts::PI * var).ln()
+}
+
 /// Per-class feature Gaussians with a shared variance-smoothing floor
 /// (scikit-learn's `var_smoothing` scheme: ε = 1e-9 × max feature
 /// variance).
@@ -84,7 +94,7 @@ impl GaussianNb {
         let mut ll = 0.0;
         for ((&xi, &mu), &v) in x.iter().zip(mean).zip(var) {
             let d = xi - mu;
-            ll += -0.5 * ((2.0 * std::f64::consts::PI * v).ln() + d * d / v);
+            ll += -0.5 * (ln_norm(v) + d * d / v);
         }
         ll
     }
@@ -110,22 +120,32 @@ impl BinaryClassifier for GaussianNb {
     }
 
     /// One pass over the batch buffer with the per-feature Gaussian
-    /// normalization terms `ln(2πσ²)` hoisted out of the row loop — they
-    /// depend only on the model, and `ln` is deterministic, so caching
-    /// them keeps every row's floating-point op sequence (and therefore
-    /// its bits) identical to [`GaussianNb::predict_proba_one`].
+    /// normalization terms `ln(2πσ²)` hoisted out of the row loop into
+    /// stack tables — they depend only on the model, and `ln` is
+    /// deterministic, so hoisting them keeps every row's floating-point
+    /// op sequence (and therefore its bits) identical to
+    /// [`GaussianNb::predict_proba_one`]. Nothing is allocated; a model
+    /// wider than `HOISTED_WIDTH` takes the per-row path.
     fn predict_proba_batch(&self, rows: &[f64], n_features: usize, out: &mut [f64]) {
         crate::model::check_batch_shape(rows, n_features, out.len());
         if out.is_empty() {
             return;
         }
-        let ln_norm = |var: &[f64]| -> Vec<f64> {
-            var.iter()
-                .map(|&v| (2.0 * std::f64::consts::PI * v).ln())
-                .collect()
-        };
-        let norm_pos = ln_norm(&self.var_pos);
-        let norm_neg = ln_norm(&self.var_neg);
+        let d = self.var_pos.len().max(self.var_neg.len());
+        if d > HOISTED_WIDTH {
+            for (row, o) in rows.chunks_exact(n_features).zip(out.iter_mut()) {
+                *o = self.posterior(row);
+            }
+            return;
+        }
+        let (mut norm_pos, mut norm_neg) = ([0.0; HOISTED_WIDTH], [0.0; HOISTED_WIDTH]);
+        for (n, &v) in norm_pos.iter_mut().zip(&self.var_pos) {
+            *n = ln_norm(v);
+        }
+        for (n, &v) in norm_neg.iter_mut().zip(&self.var_neg) {
+            *n = ln_norm(v);
+        }
+        let (norm_pos, norm_neg) = (&norm_pos[..d], &norm_neg[..d]);
         let prior_lp = self.prior_pos.ln();
         let prior_ln = (1.0 - self.prior_pos).ln();
         let ll = |x: &[f64], mean: &[f64], var: &[f64], norm: &[f64]| -> f64 {
@@ -137,8 +157,8 @@ impl BinaryClassifier for GaussianNb {
             acc
         };
         for (row, o) in rows.chunks_exact(n_features).zip(out.iter_mut()) {
-            let lp = prior_lp + ll(row, &self.mean_pos, &self.var_pos, &norm_pos);
-            let ln = prior_ln + ll(row, &self.mean_neg, &self.var_neg, &norm_neg);
+            let lp = prior_lp + ll(row, &self.mean_pos, &self.var_pos, norm_pos);
+            let ln = prior_ln + ll(row, &self.mean_neg, &self.var_neg, norm_neg);
             let m = lp.max(ln);
             let ep = (lp - m).exp();
             let en = (ln - m).exp();
@@ -215,6 +235,19 @@ mod tests {
         let p = gnb.predict_proba_one(&[1e12, -1e12, 0.0]);
         assert!(p.is_finite());
         assert!((0.0..=1.0).contains(&p));
+    }
+
+    #[test]
+    fn batches_match_rows_on_both_sides_of_the_hoisted_width() {
+        for d in [HOISTED_WIDTH, HOISTED_WIDTH + 1] {
+            let data = blobs(20, d, 0.8);
+            let gnb = GaussianNb::fit(&data);
+            let mut out = vec![0.0; data.len()];
+            gnb.predict_proba_batch(data.raw(), d, &mut out);
+            for (i, p) in out.iter().enumerate() {
+                assert_eq!(p.to_bits(), gnb.predict_proba_one(data.row(i)).to_bits());
+            }
+        }
     }
 
     use crate::dataset::Dataset;

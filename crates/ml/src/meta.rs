@@ -37,13 +37,21 @@ pub struct BundleMeta {
     pub train_window_end_ns: u64,
 }
 
-/// Why a bundle's metadata makes it unusable here.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Why a bundle is unusable here.
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetaError {
     /// Written under a different persisted layout.
     SchemaVersion { found: u32, expected: u32 },
     /// Fit on a different feature width than the caller will feed it.
     FeatureWidth { found: usize, expected: usize },
+    /// A forest leaf that is not a probability: NaN, infinite or outside
+    /// [0, 1] (see `RandomForest::invalid_leaf`). Training never writes
+    /// one, and the forest's early-exit vote is exact only without one.
+    ForestLeaf {
+        tree: usize,
+        node: usize,
+        proba: f64,
+    },
 }
 
 impl std::fmt::Display for MetaError {
@@ -57,6 +65,11 @@ impl std::fmt::Display for MetaError {
                 f,
                 "bundle was trained on {found}-wide feature rows but this \
                  pipeline produces {expected}-wide rows"
+            ),
+            MetaError::ForestLeaf { tree, node, proba } => write!(
+                f,
+                "forest tree {tree} node {node} holds leaf probability {proba}, \
+                 outside [0, 1]; the bundle is damaged — retrain it"
             ),
         }
     }

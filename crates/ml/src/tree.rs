@@ -304,16 +304,16 @@ impl DecisionTree {
         }
     }
 
-    /// Walk four rows down the tree in lockstep. Lanes that reach a
-    /// leaf idle there (re-reading the cached leaf node) until the
-    /// deepest lane finishes; the four chase chains stay independent so
-    /// their node loads overlap.
-    fn leaf_proba4(&self, x: [&[f64]; 4]) -> [f64; 4] {
-        let mut i = [0usize; 4];
-        let mut p = [0.0f64; 4];
+    /// Walk `L` rows down the tree in lockstep. Lanes that reach a leaf
+    /// idle there (re-reading the cached leaf node) until the deepest
+    /// lane finishes; the chase chains stay independent so their node
+    /// loads overlap.
+    fn leaf_probas<const L: usize>(&self, x: [&[f64]; L]) -> [f64; L] {
+        let mut i = [0usize; L];
+        let mut p = [0.0f64; L];
         loop {
             let mut all_leaves = true;
-            for l in 0..4 {
+            for l in 0..L {
                 match self.nodes[i[l]] {
                     Node::Leaf { proba } => p[l] = proba,
                     Node::Split {
@@ -441,10 +441,12 @@ impl RandomForest {
                 }
             })
             .collect();
-        Self {
+        let forest = Self {
             trees,
             n_features: d,
-        }
+        };
+        debug_assert_eq!(forest.invalid_leaf(), None, "fit builds leaves as pos / n");
+        forest
     }
 
     pub fn n_trees(&self) -> usize {
@@ -467,6 +469,142 @@ impl RandomForest {
         }
         total
     }
+
+    /// The first leaf whose probability is not a finite value in [0, 1],
+    /// as (tree, node, probability) — the invariant the early exit in
+    /// [`RandomForest::decide_batch`] rests on. [`RandomForest::fit`]
+    /// builds every leaf as a class share `pos / n`, so only a damaged or
+    /// hand-edited bundle has one.
+    pub fn invalid_leaf(&self) -> Option<(usize, usize, f64)> {
+        self.trees.iter().enumerate().find_map(|(t, tree)| {
+            tree.nodes
+                .iter()
+                .enumerate()
+                .find_map(|(i, node)| match *node {
+                    Node::Leaf { proba } if !(0.0..=1.0).contains(&proba) => Some((t, i, proba)),
+                    _ => None,
+                })
+        })
+    }
+
+    /// The one traversal behind both batch paths. `L` rows walk the
+    /// trees in lockstep — four at a time, so the four pointer-chase
+    /// chains overlap their node loads instead of serializing; a batch's
+    /// last `len % 4` rows walk alone. Trees stay innermost: the deployed
+    /// forest (30 trees of depth ≤ 16) stays cache-resident, and a
+    /// tree-major sweep measured slower than keeping each row quad hot.
+    /// Leaf probabilities are summed **in tree order**, exactly as
+    /// [`RandomForest::predict_proba_one`] sums them. After each tree
+    /// `stop(&sums, trees_left)` may end the walk. Returns the sums and
+    /// the number of trees walked.
+    #[inline(always)]
+    fn walk<const L: usize>(
+        &self,
+        x: [&[f64]; L],
+        mut stop: impl FnMut(&[f64; L], f64) -> bool,
+    ) -> ([f64; L], usize) {
+        let n = self.trees.len();
+        let mut acc = [0.0f64; L];
+        for (t, tree) in self.trees.iter().enumerate() {
+            let p = tree.leaf_probas(x);
+            for (a, &pv) in acc.iter_mut().zip(&p) {
+                *a += pv;
+            }
+            if stop(&acc, (n - t - 1) as f64) {
+                return (acc, t + 1);
+            }
+        }
+        (acc, n)
+    }
+
+    /// The forest's vote on every row of a row-major batch, each exactly
+    /// `decide(self.predict_proba_one(row))`, walking only as many trees
+    /// as it takes to settle it. Returns the trees walked, summed over
+    /// rows: a quad of rows walks until all four are settled, so each of
+    /// its rows counts the quad's trees; a batch's last `len % 4` rows
+    /// walk and count alone.
+    ///
+    /// Why stopping early cannot change a vote. `predict_proba_one` sums
+    /// the leaves in tree order, `s_0 = 0`, `s_{k+1} = fl(s_k + p_k)`,
+    /// and votes `decide(s_n / n)`.
+    /// 1. Every leaf `p` is finite and in [0, 1]: `fit` builds it as
+    ///    `pos / n`, and bundle validation rejects any
+    ///    [`RandomForest::invalid_leaf`].
+    /// 2. Round-to-nearest addition is monotone in each argument. With
+    ///    `p ≥ 0` that gives `s_n ≥ s_k`; with `p ≤ 1` it gives
+    ///    `s_n ≤ t`, where `t` continues the sum from `s_k` with every
+    ///    one of the `r = n − k` remaining leaves equal to 1.0, in the
+    ///    same order of roundings.
+    /// 3. Division by `n` is monotone too, so `decide(s / n)` holds
+    ///    exactly when `s ≥ cut` (`attack_cut`).
+    ///
+    /// So a row with `s_k ≥ cut` votes attack whatever the other trees
+    /// say. For the benign side, every value involved is at most
+    /// `B = n + 1`, so each rounding errs by at most `u·B`, `u = 2⁻⁵³`:
+    /// `t ≤ s_k + r + r·u·B`, and the check's own two roundings give
+    /// `fl(fl(s_k + r) + m) ≥ s_k + r + m − 2·u·B`. With
+    /// `m = (n + 1)²·2⁻⁵² = 2·u·B² ≥ (r + 2)·u·B`, the check passing
+    /// means `t < cut − m + (r + 2)·u·B ≤ cut`, so `s_n < cut`: the row
+    /// votes benign whatever the other trees say. At `n = 30`,
+    /// `m ≈ 2.1e-13`; without it, sums that hover at the cut can round
+    /// across it (the `margin_covers_sequential_rounding` test pins one).
+    /// A row that never settles walks every tree and is decided on the
+    /// full sum, as `predict_proba_one` decides it.
+    pub fn decide_batch(&self, rows: &[f64], n_features: usize, out: &mut [bool]) -> u64 {
+        crate::model::check_batch_shape(rows, n_features, out.len());
+        if out.is_empty() {
+            return 0;
+        }
+        let n = self.trees.len() as f64;
+        let cut = attack_cut(n);
+        let margin = (n + 1.0) * (n + 1.0) * f64::EPSILON;
+        let settled = |s: f64, left: f64| s >= cut || s + left + margin < cut;
+        let mut walked = 0;
+        let mut quads = rows.chunks_exact(4 * n_features);
+        let mut outs = out.chunks_exact_mut(4);
+        for (q, o) in quads.by_ref().zip(outs.by_ref()) {
+            let all_settled = |acc: &[f64; 4], left| acc.iter().all(|&s| settled(s, left));
+            let (acc, trees) = self.walk(quad(q, n_features), all_settled);
+            for (o, s) in o.iter_mut().zip(acc) {
+                *o = s >= cut;
+            }
+            walked += 4 * trees;
+        }
+        let tail = quads.remainder().chunks_exact(n_features);
+        for (row, o) in tail.zip(outs.into_remainder()) {
+            let ([s], trees) = self.walk([row], |&[s], left| settled(s, left));
+            *o = s >= cut;
+            walked += trees;
+        }
+        walked as u64
+    }
+}
+
+/// Where the forest's vote flips: the smallest sum `cut` of `n` leaf
+/// probabilities with `decide(cut / n)`, so that
+/// `decide(s / n) == (s >= cut)` for every such sum. Division by `n`
+/// rounds monotonically, so `decide(s / n)` is a step in `s`; `n / 2`
+/// divides to exactly 0.5, and stepping down ulps finds the step's edge
+/// in a step or two (`s / n` rounds to 0.5 only within half an ulp of
+/// it). With no trees every probability is `0 / 0`, a NaN `decide` calls
+/// benign, and an infinite cut says the same.
+fn attack_cut(n: f64) -> f64 {
+    let mut cut = n / 2.0;
+    if !crate::decide(cut / n) {
+        return f64::INFINITY;
+    }
+    while crate::decide(cut.next_down() / n) {
+        cut = cut.next_down();
+    }
+    cut
+}
+
+/// One `4 × n_features` chunk of a row-major batch as its four rows.
+fn quad(rows: &[f64], n_features: usize) -> [&[f64]; 4] {
+    let (x0, rest) = rows.split_at(n_features);
+    let (x1, rest) = rest.split_at(n_features);
+    let (x2, x3) = rest.split_at(n_features);
+    [x0, x1, x2, x3]
 }
 
 impl BinaryClassifier for RandomForest {
@@ -475,46 +613,27 @@ impl BinaryClassifier for RandomForest {
         s / self.trees.len() as f64
     }
 
-    /// Columnar traversal: each tree walks the whole batch while its node
-    /// arena stays cache-hot, accumulating straight into `out` — no
-    /// per-call allocation. Trees are folded **in tree order**, which
-    /// reproduces the per-row summation order exactly — batched
-    /// probabilities are bit-identical to
+    /// Every tree over every row (`RandomForest::walk`), straight into
+    /// `out` — no per-call allocation, and bit-identical to
     /// [`RandomForest::predict_proba_one`].
     fn predict_proba_batch(&self, rows: &[f64], n_features: usize, out: &mut [f64]) {
         crate::model::check_batch_shape(rows, n_features, out.len());
         if out.is_empty() {
             return;
         }
-        // Four rows walk each tree in lockstep: the four pointer-chase
-        // chains are independent, so their node loads overlap instead
-        // of serializing. Trees stay innermost — the paper-sized forest
-        // (25 shallow trees) fits in cache whole, and a tree-major
-        // sweep measured slower than keeping each row quad hot.
         let n = self.trees.len() as f64;
-        let mut rows4 = rows.chunks_exact(4 * n_features);
-        let mut outs4 = out.chunks_exact_mut(4);
-        for (quad, o4) in rows4.by_ref().zip(outs4.by_ref()) {
-            let (x0, rest) = quad.split_at(n_features);
-            let (x1, rest) = rest.split_at(n_features);
-            let (x2, x3) = rest.split_at(n_features);
-            let mut acc = [0.0f64; 4];
-            for t in &self.trees {
-                let p = t.leaf_proba4([x0, x1, x2, x3]);
-                for (a, &pv) in acc.iter_mut().zip(&p) {
-                    *a += pv;
-                }
-            }
-            for (o, &a) in o4.iter_mut().zip(&acc) {
-                *o = a / n;
+        let mut quads = rows.chunks_exact(4 * n_features);
+        let mut outs = out.chunks_exact_mut(4);
+        for (q, o) in quads.by_ref().zip(outs.by_ref()) {
+            let (acc, _) = self.walk(quad(q, n_features), |_, _| false);
+            for (o, s) in o.iter_mut().zip(acc) {
+                *o = s / n;
             }
         }
-        for (row, o) in rows4
-            .remainder()
-            .chunks_exact(n_features)
-            .zip(outs4.into_remainder())
-        {
-            *o = self.predict_proba_one(row);
+        let tail = quads.remainder().chunks_exact(n_features);
+        for (row, o) in tail.zip(outs.into_remainder()) {
+            let ([s], _) = self.walk([row], |_, _| false);
+            *o = s / n;
         }
     }
 
@@ -652,6 +771,209 @@ mod tests {
         for &i in &idx[mid..] {
             assert!(d.row(i)[0] > 3.0);
         }
+    }
+
+    /// A depth-1 tree: rows with `x[0] <= 0` land on `cold`, the rest on
+    /// `hot`.
+    fn stump(cold: f64, hot: f64) -> DecisionTree {
+        DecisionTree {
+            nodes: vec![
+                Node::Split {
+                    feature: 0,
+                    threshold: 0.0,
+                    left: 1,
+                },
+                Node::Leaf { proba: cold },
+                Node::Leaf { proba: hot },
+            ],
+            n_features: 1,
+            importances: vec![0.0],
+        }
+    }
+
+    /// One stump per leaf: hot rows (`x > 0`) sum `hot` in tree order,
+    /// cold rows sum zeros.
+    fn stumps(hot: &[f64]) -> RandomForest {
+        RandomForest {
+            trees: hot.iter().map(|&p| stump(0.0, p)).collect(),
+            n_features: 1,
+        }
+    }
+
+    /// `decide_batch` over one-feature `rows`, checked row by row against
+    /// the probability path; returns the votes and the trees walked.
+    fn decided(forest: &RandomForest, rows: &[f64]) -> (Vec<bool>, u64) {
+        let mut out = vec![false; rows.len()];
+        let walked = forest.decide_batch(rows, 1, &mut out);
+        for (r, (&x, &vote)) in rows.iter().zip(&out).enumerate() {
+            let want = crate::decide(forest.predict_proba_one(&[x]));
+            assert_eq!(vote, want, "row {r} (x = {x}) of {}", rows.len());
+        }
+        (out, walked)
+    }
+
+    #[test]
+    fn cut_is_the_edge_of_the_vote() {
+        for n in 1..=64 {
+            let n = n as f64;
+            let cut = attack_cut(n);
+            assert!(crate::decide(cut / n), "n = {n}");
+            assert!(!crate::decide(cut.next_down() / n), "n = {n}");
+        }
+        // No trees: every probability is 0 / 0, which votes benign.
+        assert_eq!(attack_cut(0.0), f64::INFINITY);
+        let empty = stumps(&[]);
+        assert!(empty.predict_proba_one(&[1.0]).is_nan());
+        assert_eq!(decided(&empty, &[1.0, -1.0]), (vec![false, false], 0));
+    }
+
+    #[test]
+    fn sums_on_the_cut_and_one_ulp_either_side() {
+        // n − 1 leaves of 0.5, then the one leaf that lands the sum
+        // exactly on `target` (Sterbenz: the subtraction is exact). The
+        // sum hovers below the cut and above the benign bound until the
+        // last tree, so every tree is walked.
+        for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 17, 30] {
+            let cut = attack_cut(n as f64);
+            let head = (n - 1) as f64 * 0.5;
+            for (target, attack) in [(cut.next_down(), false), (cut, true), (cut.next_up(), true)] {
+                let mut leaves = vec![0.5; n - 1];
+                leaves.push(target - head);
+                let forest = stumps(&leaves);
+                assert_eq!(forest.predict_proba_one(&[1.0]) * n as f64 >= cut, attack);
+                let (votes, walked) = decided(&forest, &[1.0]);
+                assert_eq!(votes, [attack], "n = {n}, sum {target:e}");
+                assert_eq!(walked, n as u64, "n = {n}, sum {target:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn half_leaves_sum_to_exactly_half_and_walk_every_tree() {
+        for n in [1usize, 2, 3, 4, 5, 8, 9, 30, 31] {
+            let forest = RandomForest {
+                trees: vec![stump(0.5, 0.5); n],
+                n_features: 1,
+            };
+            assert_eq!(forest.predict_proba_one(&[1.0]), 0.5);
+            let (votes, walked) = decided(&forest, &[1.0, -1.0, f64::NAN]);
+            assert_eq!(votes, [true; 3], "n = {n}");
+            assert_eq!(walked, 3 * n as u64, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn settles_as_soon_as_the_vote_is_fixed() {
+        // n = 4, cut = 2: all-ones reaches the cut after two trees; all
+        // zeros cannot reach it once one tree is left (0 + 1 < 2), i.e.
+        // after three. n = 30, cut = 15: 15 trees and 16.
+        for (n, attack_after, benign_after) in [(4, 2, 3), (30, 15, 16)] {
+            let forest = stumps(&vec![1.0; n]);
+            let (votes, walked) = decided(&forest, &[1.0; 4]);
+            assert_eq!((votes, walked), (vec![true; 4], 4 * attack_after));
+            let (votes, walked) = decided(&forest, &[-1.0; 4]);
+            assert_eq!((votes, walked), (vec![false; 4], 4 * benign_after));
+            // A quad walks until its last lane settles.
+            let (votes, walked) = decided(&forest, &[1.0, -1.0, 1.0, 1.0]);
+            assert_eq!(votes, [true, false, true, true]);
+            assert_eq!(walked, 4 * benign_after);
+        }
+    }
+
+    #[test]
+    fn margin_covers_sequential_rounding() {
+        // n = 17, cut = 8.5. After nine trees the sum is 0.5 − 5·2⁻⁵²
+        // and eight trees of 1.0 remain. Added in one rounding, s + 8
+        // falls below the cut; added one at a time, ties-to-even carries
+        // the sum up to exactly 8.5 — an attack vote.
+        let first = 0.5 - 5.0 * f64::EPSILON;
+        let mut leaves = vec![first];
+        leaves.extend([0.0; 8]);
+        leaves.extend([1.0; 8]);
+        let forest = stumps(&leaves);
+        let cut = attack_cut(17.0);
+        assert_eq!(cut, 8.5);
+        assert!(
+            first + 8.0 < cut,
+            "the unmargined bound would settle benign"
+        );
+        assert_eq!(forest.predict_proba_one(&[1.0]), 0.5);
+        assert_eq!(decided(&forest, &[1.0]), (vec![true], 17));
+    }
+
+    #[test]
+    fn decisions_match_on_non_finite_rows_and_every_batch_size() {
+        let d = blobs(60, 3, 0.6);
+        let forest = RandomForest::fit(
+            &d,
+            &RandomForestConfig {
+                n_trees: 30,
+                ..RandomForestConfig::fast()
+            },
+            4,
+        );
+        let mut out = vec![false; 4];
+        let special = [
+            f64::NAN,
+            0.2,
+            -0.1,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            f64::NAN,
+            f64::NAN,
+            f64::NAN,
+            1.0,
+            f64::INFINITY,
+            -1.0,
+        ];
+        forest.decide_batch(&special, 3, &mut out);
+        for (row, &vote) in special.chunks_exact(3).zip(&out) {
+            assert_eq!(
+                vote,
+                crate::decide(forest.predict_proba_one(row)),
+                "{row:?}"
+            );
+        }
+
+        for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 255, 256, 257] {
+            let rows: Vec<f64> = (0..n).flat_map(|i| d.row(i % d.len()).to_vec()).collect();
+            let mut out = vec![false; n];
+            let walked = forest.decide_batch(&rows, 3, &mut out);
+            for (r, (row, &vote)) in rows.chunks_exact(3).zip(&out).enumerate() {
+                assert_eq!(
+                    vote,
+                    crate::decide(forest.predict_proba_one(row)),
+                    "row {r} of {n}"
+                );
+            }
+            // Every row walks at least until a vote can be fixed, and at
+            // most the whole forest.
+            assert!(
+                walked >= 15 * n as u64 && walked <= 30 * n as u64,
+                "{walked} for {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn fitted_leaves_are_valid_and_damaged_ones_are_found() {
+        let d = blobs(40, 2, 1.0);
+        let mut forest = RandomForest::fit(&d, &RandomForestConfig::fast(), 6);
+        assert_eq!(forest.invalid_leaf(), None);
+        let tree = 3;
+        let node = forest.trees[tree]
+            .nodes
+            .iter()
+            .position(|n| matches!(n, Node::Leaf { .. }))
+            .unwrap();
+        for bad in [1.5, -0.25, f64::INFINITY, f64::NEG_INFINITY] {
+            forest.trees[tree].nodes[node] = Node::Leaf { proba: bad };
+            assert_eq!(forest.invalid_leaf(), Some((tree, node, bad)));
+        }
+        forest.trees[tree].nodes[node] = Node::Leaf { proba: f64::NAN };
+        let (t, n, p) = forest.invalid_leaf().unwrap();
+        assert!((t, n) == (tree, node) && p.is_nan());
     }
 
     #[test]

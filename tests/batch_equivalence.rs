@@ -10,11 +10,14 @@
 //! and register-tile remainders) and non-finite feature values, plus a
 //! property test over random batches.
 //!
-//! `votes_batch` and `ensemble_vote` both exit early — the MLP votes
+//! `votes_batch` and `ensemble_vote` both exit early — the forest stops
+//! walking a row's trees once its vote is settled, and the MLP votes
 //! only where GNB and the forest split — so agreeing with each other
 //! proves nothing about the rule. Their reference is the majority over
-//! `ModelBundle::votes`, which always evaluates all three members, on a
-//! bundle trained so the cheap members really do split.
+//! `ModelBundle::votes`, which always evaluates all three members on
+//! their probability paths, on a bundle trained so the cheap members
+//! really do split; the forest's decision path is held to `decide` over
+//! its own probability path row for row.
 //!
 //! The same holds one level up: the threaded runtime, which routes and
 //! scores events in channel-message batches, must store per flow exactly
@@ -22,14 +25,14 @@
 
 use amlight::core::source::ReplaySource;
 use amlight::core::trainer::{
-    dataset_from_events, train_bundle, ModelBundle, TrainerConfig, VoteScratch,
+    dataset_from_events, train_bundle, ModelBundle, TrainerConfig, VoteCost, VoteScratch,
 };
 use amlight::core::{DetectionPipeline, PipelineConfig, ThreadedPipeline};
 use amlight::features::FeatureSet;
 use amlight::int::{HopMetadata, InstructionSet, TelemetryReport};
 use amlight::ml::model::BinaryClassifier;
 use amlight::ml::{
-    Dataset, GaussianNb, GbtConfig, GradientBoost, Knn, Mlp, MlpConfig, RandomForest,
+    decide, Dataset, GaussianNb, GbtConfig, GradientBoost, Knn, Mlp, MlpConfig, RandomForest,
     RandomForestConfig,
 };
 use amlight::net::{FlowKey, Protocol, TrafficClass};
@@ -66,6 +69,24 @@ fn block(d: &Dataset, n: usize) -> Vec<f64> {
 /// register tile and its tail.
 const SIZES: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 64, 100];
 
+/// The forest's early-exit decision path must vote exactly
+/// `decide(predict_proba_one)` on every row, walking between one and all
+/// of its trees per row.
+fn assert_forest_decisions_match(forest: &RandomForest, rows: &[f64], nf: usize) {
+    let n = rows.len() / nf;
+    let mut votes = vec![false; n];
+    let walked = forest.decide_batch(rows, nf, &mut votes);
+    for (r, (row, &vote)) in rows.chunks_exact(nf).zip(&votes).enumerate() {
+        let want = decide(forest.predict_proba_one(row));
+        assert_eq!(vote, want, "forest decision diverged at row {r} of {n}");
+    }
+    let trees = forest.n_trees() as u64;
+    assert!(
+        walked >= n as u64 && walked <= n as u64 * trees,
+        "{walked} trees for {n} rows"
+    );
+}
+
 fn assert_bit_identical(model: &dyn BinaryClassifier, d: &Dataset) {
     let nf = d.n_features();
     for &n in SIZES {
@@ -89,6 +110,9 @@ fn random_forest_batch_is_bit_identical() {
     let d = blobs(120, 6);
     let rf = RandomForest::fit(&d, &RandomForestConfig::fast(), 7);
     assert_bit_identical(&rf, &d);
+    for &n in SIZES {
+        assert_forest_decisions_match(&rf, &block(&d, n), d.n_features());
+    }
 }
 
 #[test]
@@ -161,6 +185,7 @@ fn non_finite_features_stay_bit_identical() {
     rows[13] = f64::NEG_INFINITY;
     rows[29] = f64::NAN;
     let nf = d.n_features();
+    assert_forest_decisions_match(&rf, &rows, nf);
     for model in models {
         let mut batched = vec![0.0f64; 12];
         model.predict_proba_batch(&rows, nf, &mut batched);
@@ -271,9 +296,10 @@ fn assert_early_exit_is_exact(
     scratch: &mut VoteScratch,
 ) -> usize {
     let mut out = Vec::new();
-    let escalated = bundle.votes_batch(rows, 15, scratch, &mut out);
+    let cost = bundle.votes_batch(rows, 15, scratch, &mut out);
     assert_eq!(out.len(), rows.len() / 15);
-    assert_eq!(escalated, cheap_splits(bundle, rows));
+    assert_eq!(cost.escalated, cheap_splits(bundle, rows));
+    let escalated = cost.escalated;
     for (r, (row, &got)) in rows.chunks_exact(15).zip(&out).enumerate() {
         let want = three_member_majority(bundle, row);
         assert_eq!(got, want, "batched decision diverged at row {r}");
@@ -340,11 +366,11 @@ fn vote_scratch_reuse_leaves_no_stale_rows_or_indices() {
     let (large, small) = (&data.raw()[..600 * 15], &data.raw()[600 * 15..612 * 15]);
     let fresh = |rows: &[f64]| {
         let mut out = Vec::new();
-        let escalated = bundle.votes_batch(rows, 15, &mut VoteScratch::default(), &mut out);
-        (escalated, out)
+        let cost = bundle.votes_batch(rows, 15, &mut VoteScratch::default(), &mut out);
+        (cost, out)
     };
     let (want_large, want_small) = (fresh(large), fresh(small));
-    assert!(want_large.0 > want_small.0 && want_small.0 > 0);
+    assert!(want_large.0.escalated > want_small.0.escalated && want_small.0.escalated > 0);
 
     let mut scratch = VoteScratch::default();
     let mut out = Vec::new();
@@ -355,12 +381,12 @@ fn vote_scratch_reuse_leaves_no_stale_rows_or_indices() {
         (small, &want_small),
         (large, &want_large),
         (small, &want_small),
-        (&[][..], &(0, Vec::new())),
+        (&[][..], &(VoteCost::default(), Vec::new())),
         (small, &want_small),
         (large, &want_large),
     ] {
-        let escalated = bundle.votes_batch(rows, 15, &mut scratch, &mut out);
-        assert_eq!((escalated, &out), (want.0, &want.1));
+        let cost = bundle.votes_batch(rows, 15, &mut scratch, &mut out);
+        assert_eq!((cost, &out), (want.0, &want.1));
     }
 }
 
@@ -446,6 +472,14 @@ fn threaded_batches_store_the_verdict_sequences_run_sync_stores() {
         );
         assert_eq!(stats.rows_scored, stats.predictions);
         assert_eq!(stats.rows_escalated, expected_escalated, "{shards} shards");
+        let trees = bundle.forest.n_trees() as u64;
+        assert!(
+            stats.trees_walked >= stats.rows_scored
+                && stats.trees_walked <= stats.rows_scored * trees,
+            "{} trees walked over {} rows",
+            stats.trees_walked,
+            stats.rows_scored
+        );
     }
 }
 
@@ -459,6 +493,19 @@ proptest! {
     ) {
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
         assert_early_exit_is_exact(xor_bundle(), &flat, &mut VoteScratch::default());
+    }
+
+    /// Rows near the XOR axes, where the forest's trees disagree and the
+    /// sums hover around the cut.
+    #[test]
+    fn random_rows_get_the_forest_vote_of_the_probability_path(
+        rows in proptest::collection::vec(
+            proptest::collection::vec(-1.0f64..1.0, 15),
+            0..70,
+        ),
+    ) {
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        assert_forest_decisions_match(&xor_bundle().forest, &flat, 15);
     }
 
     #[test]
@@ -488,6 +535,7 @@ proptest! {
         });
         let flat: Vec<f64> = rows.iter().flatten().copied().collect();
         let n = rows.len();
+        assert_forest_decisions_match(rf, &flat, 5);
         let models: [&dyn BinaryClassifier; 4] = [rf, gb, gnb, mlp];
         for model in models {
             let mut batched = vec![0.0f64; n];
