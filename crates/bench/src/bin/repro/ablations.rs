@@ -13,11 +13,11 @@
 //!    informative, recovering the paper's Table V importance ranking
 //!    that a clean 100 Gb/s testbed cannot show (its §V admits this).
 //!
-//! Usage: `repro_ablations [--fast] [--seed N]`
+//! Usage: `repro ablations [--fast] [--seed N]`
 
 use amlight_bench::capture::{ExperimentCapture, ExperimentConfig};
 use amlight_bench::tables::table5_importance;
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_json};
+use amlight_bench::util::{banner, write_json};
 use amlight_core::pipeline::{DetectionPipeline, PipelineConfig};
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::{dataset_from_events, train_bundle, TrainerConfig};
@@ -30,14 +30,11 @@ use amlight_traffic::attacks::SynFloodConfig;
 use amlight_traffic::{AttackConfig, AttackKind, ReplayLibrary};
 use serde_json::json;
 
-fn main() {
-    let fast = flag_fast();
-    let seed = arg_seed(0xA317);
-
+pub fn run(fast: bool, seed: u64) {
     sampling_sweep(fast, seed);
     let (bundle, test_lib, lab) = trained(fast, seed);
-    ensemble_ablation(&bundle, &test_lib, &lab);
-    smoothing_sweep(&bundle, &test_lib, &lab);
+    ensemble_ablation(&bundle, &test_lib, &lab, fast);
+    smoothing_sweep(&bundle, &test_lib, &lab, fast);
     flood_structure(&bundle, &lab, fast, seed);
     congested_importance(fast, seed);
 }
@@ -85,7 +82,7 @@ fn sampling_sweep(fast: bool, seed: u64) {
         }));
     }
     println!("(at the production 1/4096 rate, a 60 s SlowLoris episode is usually invisible)");
-    write_json("ablation_sampling", &rows);
+    write_json("results/ablation_sampling.json", &rows, fast);
 }
 
 type Trained = (amlight_core::trainer::ModelBundle, ReplayLibrary, Testbed);
@@ -125,6 +122,7 @@ fn ensemble_ablation(
     bundle: &amlight_core::trainer::ModelBundle,
     test_lib: &ReplayLibrary,
     lab: &Testbed,
+    fast: bool,
 ) {
     banner("Ablation 2 — ensemble vote vs single models (zero-day SlowLoris)");
     let labeled = lab.replay_class(test_lib, TrafficClass::SlowLoris);
@@ -184,7 +182,7 @@ fn ensemble_ablation(
     println!("  (either reading of the paper's \"GB\" yields a working ensemble)");
     results.push(json!({ "model": "Ensemble(MLP,RF,GNB)", "accuracy": gnb_ens }));
     results.push(json!({ "model": "Ensemble(MLP,RF,GB)", "accuracy": gb_ens }));
-    write_json("ablation_ensemble", &results);
+    write_json("results/ablation_ensemble.json", &results, fast);
 }
 
 /// Ablation 3: smoothing window sweep on SlowLoris and benign replays.
@@ -192,6 +190,7 @@ fn smoothing_sweep(
     bundle: &amlight_core::trainer::ModelBundle,
     test_lib: &ReplayLibrary,
     lab: &Testbed,
+    fast: bool,
 ) {
     banner("Ablation 3 — smoothing window (paper uses 3)");
     println!(
@@ -224,7 +223,7 @@ fn smoothing_sweep(
             "benign_accuracy": accs[1],
         }));
     }
-    write_json("ablation_smoothing", &rows);
+    write_json("results/ablation_smoothing.json", &rows, fast);
 }
 
 /// Ablation 4: spoofed flood vs socket-pool flood through the pipeline.
@@ -274,7 +273,7 @@ fn flood_structure(
     }
     println!("  (a fully spoofed flood is every-packet-a-new-flow: the ML path sees zero updates,");
     println!("   but the new-flow-rate guard raises alerts on exactly that signature)");
-    write_json("ablation_flood_structure", &rows);
+    write_json("results/ablation_flood_structure.json", &rows, fast);
 }
 
 /// Ablation 5: congested bottleneck — queue occupancy becomes a top
@@ -306,7 +305,7 @@ fn congested_importance(fast: bool, seed: u64) {
         println!("  {:<20} queue-occupancy rank: {}", "", queue_rank);
         write_json(
             &format!(
-                "ablation_congestion_{}",
+                "results/ablation_congestion_{}.json",
                 if name.starts_with("clean") {
                     "clean"
                 } else {
@@ -314,6 +313,7 @@ fn congested_importance(fast: bool, seed: u64) {
                 }
             ),
             &rows,
+            fast,
         );
     }
     println!("  (the paper's §V admits its 100 Gb/s testbed rarely moved queue occupancy;");

@@ -3,7 +3,7 @@
 //!
 //! The paper compares the first two and *describes* the third (its
 //! related work, ref \[17\]: "the number of features that can be derived
-//! from this method may be somewhat limited"). This binary measures all
+//! from this method may be somewhat limited"). This target measures all
 //! three on the same capture:
 //!
 //! * **INT** — every packet, 15 features;
@@ -11,14 +11,14 @@
 //! * **counters @1 s / @10 s** — one record per flow per interval,
 //!   8 interval-delta features.
 //!
-//! Usage: `repro_baselines [--fast] [--seed N]`
+//! Usage: `repro baselines [--fast] [--seed N]`
 
-use amlight_bench::capture::{ExperimentCapture, ExperimentConfig};
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_json};
+use crate::Ctx;
+use amlight_bench::util::{banner, forest_config, sflow_set, write_json};
 use amlight_core::trainer::dataset_from_events;
-use amlight_features::{FeatureId, FeatureSet};
+use amlight_features::FeatureSet;
 use amlight_ml::model::BinaryClassifier;
-use amlight_ml::{Dataset, RandomForest, RandomForestConfig, StandardScaler};
+use amlight_ml::{Dataset, RandomForest, StandardScaler};
 use amlight_net::{Trace, TrafficClass};
 use amlight_sflow::FlowCounterPoller;
 use amlight_traffic::{TrafficMix, TrafficMixConfig};
@@ -46,20 +46,12 @@ fn counter_dataset(trace: &Trace, interval_ns: u64) -> Dataset {
 }
 
 fn evaluate(name: &str, raw: &Dataset, fast: bool, seed: u64, rows: &mut Vec<serde_json::Value>) {
-    let cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
     let (train_raw, test_raw) = raw.train_test_split(0.9, seed ^ 0x90);
     let mut train = train_raw.clone();
     let scaler = StandardScaler::fit_transform(&mut train);
     let mut test = test_raw;
     scaler.transform(&mut test);
-    let rf = RandomForest::fit(&train, &cfg, seed);
+    let rf = RandomForest::fit(&train, &forest_config(fast), seed);
     let m = rf.evaluate(&test).metrics();
     println!(
         "{:<16} {:>9} rows {:>3} feats   acc {:.4}  recall {:.4}  precision {:.4}  F1 {:.4}",
@@ -82,25 +74,13 @@ fn evaluate(name: &str, raw: &Dataset, fast: bool, seed: u64, rows: &mut Vec<ser
     }));
 }
 
-/// The queue-blind projection sFlow populates (12 of 15 columns).
-fn sflow_set() -> FeatureSet {
-    FeatureSet::full().without(&FeatureId::QUEUE_COLUMNS)
-}
-
-fn main() {
-    let fast = flag_fast();
-    let mut cfg = if fast {
-        ExperimentConfig::smoke()
-    } else {
-        ExperimentConfig::default()
-    };
-    cfg.seed = arg_seed(cfg.seed);
-    let seed = cfg.seed;
-
+pub fn run(ctx: &mut Ctx) {
+    let fast = ctx.args.fast;
     // The capture (for INT and sFlow views) plus the raw trace (for the
     // counter poller, which taps the switch like sFlow does).
-    let cap = ExperimentCapture::generate(cfg);
-    let mix = TrafficMix::new(TrafficMixConfig::paper_capture(cfg.day_len_s, seed));
+    let cap = ctx.capture();
+    let seed = cap.config.seed;
+    let mix = TrafficMix::new(TrafficMixConfig::paper_capture(cap.config.day_len_s, seed));
     let trace = mix.generate();
 
     banner("Telemetry baselines — Random Forest on identical traffic");
@@ -196,5 +176,5 @@ fn main() {
          signal before the polling interval closes, while INT produces a\n\
          judgeable flow update at the second packet."
     );
-    write_json("baselines", &rows);
+    write_json("results/baselines.json", &rows, fast);
 }

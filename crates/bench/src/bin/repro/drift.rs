@@ -33,14 +33,14 @@
 //! bundle) while a writer publishes in a storm.
 //!
 //! A full run writes `BENCH_drift.json` at the repo root (a `--fast`
-//! smoke run writes nothing). `--check` turns the acceptance gates into
-//! process failures: adaptive recall ≥ frozen recall, ≥1 retrain
-//! actually published, zero dropped events in both runs, zero torn
-//! reads, zero reader-path allocations.
+//! smoke run only into an explicitly set `AMLIGHT_RESULTS_DIR`).
+//! `--check` turns the acceptance gates into process failures: adaptive
+//! recall ≥ frozen recall, ≥1 retrain actually published, zero dropped
+//! events in both runs, zero torn reads, zero reader-path allocations.
 //!
-//! Usage: `bench_drift [--fast] [--seed N] [--check]`
+//! Usage: `repro drift [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
+use amlight_bench::util::{banner, write_json};
 use amlight_core::epoch::EpochHandle;
 use amlight_core::runtime::{AdaptConfig, ThreadedPipeline};
 use amlight_core::source::ReplaySource;
@@ -56,10 +56,6 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Counting allocator for the reader-path zero-allocation gate.
-#[global_allocator]
-static ALLOC: stats_alloc::StatsAlloc = stats_alloc::StatsAlloc;
 
 #[derive(Serialize)]
 struct RunRecord {
@@ -249,7 +245,7 @@ fn run_pipeline(
     bundle: ModelBundle,
     adapt: Option<AdaptConfig>,
     days: &[Vec<(TelemetryReport, TrafficClass)>],
-) -> RunRecord {
+) -> Result<RunRecord, String> {
     let adaptive = adapt.is_some();
     let mut pipe = ThreadedPipeline::new(bundle).with_shards(2);
     if let Some(cfg) = adapt {
@@ -264,13 +260,10 @@ fn run_pipeline(
     let mut retrains = 0u64;
     let start = Instant::now();
     for day in days {
-        let stats = match pipe.start(ReplaySource::new(day.iter().cloned())).join() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("streaming run failed: {e}");
-                std::process::exit(1);
-            }
-        };
+        let stats = pipe
+            .start(ReplaySource::new(day.iter().cloned()))
+            .join()
+            .map_err(|e| format!("streaming run failed: {e}"))?;
         events_in += stats.events_in;
         flows_created += stats.flows_created;
         predictions += stats.predictions;
@@ -280,7 +273,7 @@ fn run_pipeline(
         retrains += stats.adapt.retrains;
     }
     let wall = start.elapsed().as_secs_f64();
-    RunRecord {
+    Ok(RunRecord {
         adaptive,
         events_in,
         flows_created,
@@ -295,7 +288,7 @@ fn run_pipeline(
         retrains,
         final_epoch: pipe.model_handle().current_epoch(),
         wall_ms: wall * 1e3,
-    }
+    })
 }
 
 /// Writer-side swap latency and reader-side load latency, with the
@@ -383,10 +376,7 @@ fn torn_read_audit(bundle: &ModelBundle, window: Duration) -> TornReadAudit {
     }
 }
 
-fn main() {
-    let fast = flag_fast();
-    let check = std::env::args().any(|a| a == "--check");
-    let seed = arg_seed(20826);
+pub fn run(fast: bool, seed: u64, check: bool) -> Result<(), String> {
     let host_cpus = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -410,8 +400,8 @@ fn main() {
 
     let days: Vec<_> = (0..segments).map(|s| segment(s, segments, pairs)).collect();
 
-    let frozen = run_pipeline(bundle.clone(), None, &days);
-    let adaptive = run_pipeline(bundle.clone(), Some(adapt_config(fast)), &days);
+    let frozen = run_pipeline(bundle.clone(), None, &days)?;
+    let adaptive = run_pipeline(bundle.clone(), Some(adapt_config(fast)), &days)?;
 
     println!(
         "{:>9} {:>8} {:>8} {:>9} {:>7} {:>9} {:>9}",
@@ -476,7 +466,7 @@ fn main() {
         swap,
         torn_audit,
     };
-    write_bench_artifact("drift", &report, fast);
+    write_json("BENCH_drift.json", &report, fast);
 
     if check {
         let mut failed = false;
@@ -522,8 +512,9 @@ fn main() {
             failed = true;
         }
         if failed {
-            std::process::exit(1);
+            return Err("drift gates failed".into());
         }
         println!("check: all drift gates passed ✓");
     }
+    Ok(())
 }

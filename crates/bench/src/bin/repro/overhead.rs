@@ -2,25 +2,23 @@
 //!
 //! The paper's future work points at PINT (its ref \[30\]) and spatial
 //! sampling (its ref \[31\]) to cut INT's per-packet byte cost before
-//! production deployment. This binary measures the actual trade: train
+//! production deployment. This target measures the actual trade: train
 //! and test the Random Forest on telemetry thinned to a fraction of the
 //! full INT byte budget, and report accuracy vs bytes.
 //!
-//! Usage: `repro_overhead [--fast] [--seed N]`
+//! Usage: `repro overhead [--fast] [--seed N]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_json};
+use amlight_bench::util::{banner, forest_config, write_json};
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::dataset_from_events;
 use amlight_features::FeatureSet;
 use amlight_int::{BudgetedTelemetry, TelemetryBudget};
 use amlight_ml::model::BinaryClassifier;
-use amlight_ml::{RandomForest, RandomForestConfig, StandardScaler};
+use amlight_ml::{RandomForest, StandardScaler};
 use amlight_traffic::{TrafficMix, TrafficMixConfig};
 use serde_json::json;
 
-fn main() {
-    let fast = flag_fast();
-    let seed = arg_seed(0xA317);
+pub fn run(fast: bool, seed: u64) {
     let day_len = if fast { 3 } else { 10 };
 
     // One capture through a 4-hop INT chain (multi-hop so spatial
@@ -52,14 +50,7 @@ fn main() {
         "budget", "bytes", "of full", "coverage", "accuracy", "F1"
     );
     let mut rows = Vec::new();
-    let forest_cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
+    let forest_cfg = forest_config(fast);
     for (name, budget) in budgets {
         let mut reducer = BudgetedTelemetry::new(budget, seed ^ 0xB0);
         let thinned = reducer.apply_stream(&labeled);
@@ -104,5 +95,5 @@ fn main() {
          why PINT-style thinning is the right production lever (paper §V\n\
          future work) while 1-in-4096 sFlow sampling is not."
     );
-    write_json("overhead_tradeoff", &rows);
+    write_json("results/overhead_tradeoff.json", &rows, fast);
 }

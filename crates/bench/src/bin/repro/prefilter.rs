@@ -25,31 +25,27 @@
 //! wire-to-verdict path.
 //!
 //! A full run writes `BENCH_prefilter.json` at the repo root; a `--fast`
-//! smoke run prints and gates but writes nothing, so it can never
-//! become, or clobber, the committed artifact. `--check` turns the three
-//! gates into process failures.
+//! smoke run prints and gates and writes only into an explicitly set
+//! `AMLIGHT_RESULTS_DIR`, so it can never become, or clobber, the
+//! committed artifact. `--check` turns the three gates into process
+//! failures.
 //!
-//! Usage: `bench_prefilter [--fast] [--seed N] [--check]`
+//! Usage: `repro prefilter [--fast] [--seed N] [--check]`
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_bench_artifact};
+use amlight_bench::util::{banner, streaming_trainer_config, write_json};
 use amlight_core::event::Telemetry;
 use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::source::ReplaySource;
 use amlight_core::testbed::{Testbed, TestbedConfig};
-use amlight_core::trainer::{dataset_from_events, train_bundle, ModelBundle, TrainerConfig};
+use amlight_core::trainer::{dataset_from_events, train_bundle, ModelBundle};
 use amlight_features::{
     FeatureSet, FlowTable, FlowTableConfig, PrefilterMode, TriageConfig, TriageStage,
 };
 use amlight_int::TelemetryReport;
-use amlight_ml::{MlpConfig, RandomForestConfig};
 use amlight_net::{FlowKey, TrafficClass};
 use amlight_traffic::{AttackKind, TrafficMix, TrafficMixConfig};
 use serde::Serialize;
 use std::collections::HashSet;
-
-/// Counting allocator for the zero-steady-state-allocation gate.
-#[global_allocator]
-static ALLOC: stats_alloc::StatsAlloc = stats_alloc::StatsAlloc;
 
 /// One pipeline run of one labeled replay at one pre-filter mode.
 #[derive(Serialize, Clone, Copy)]
@@ -219,10 +215,7 @@ fn alloc_audit(labeled: &[(TelemetryReport, TrafficClass)]) -> AllocRecord {
     }
 }
 
-fn main() {
-    let fast = flag_fast();
-    let check = std::env::args().any(|a| a == "--check");
-    let seed = arg_seed(20825);
+pub fn run(fast: bool, seed: u64, check: bool) -> Result<(), String> {
     let day_len = if fast { 4 } else { 10 };
     let lab = Testbed::new(TestbedConfig::default());
 
@@ -232,17 +225,7 @@ fn main() {
     let bundle = train_bundle(
         &dataset_from_events(&train_labeled, FeatureSet::full()),
         FeatureSet::full(),
-        &TrainerConfig {
-            mlp: MlpConfig {
-                epochs: if fast { 4 } else { 10 },
-                ..MlpConfig::paper_mlp()
-            },
-            forest: RandomForestConfig {
-                n_trees: if fast { 10 } else { 30 },
-                ..RandomForestConfig::fast()
-            },
-            ..Default::default()
-        },
+        &streaming_trainer_config(fast),
     );
 
     let test_mix = TrafficMix::new(TrafficMixConfig::paper_capture(day_len, seed ^ 0x5F10));
@@ -284,7 +267,7 @@ fn main() {
         recall_delta,
         alloc,
     };
-    write_bench_artifact("prefilter", &report, fast);
+    write_json("BENCH_prefilter.json", &report, fast);
 
     if check {
         let mut failed = false;
@@ -310,8 +293,9 @@ fn main() {
             failed = true;
         }
         if failed {
-            std::process::exit(1);
+            return Err("pre-filter gates failed".into());
         }
         println!("check: all pre-filter gates passed ✓");
     }
+    Ok(())
 }

@@ -18,19 +18,20 @@
 //!
 //! Writes `results/telemetry.json`.
 //!
-//! Usage: `bench_telemetry [--fast] [--seed N] [--period N] [--check]`
+//! Usage: `repro telemetry [--fast] [--seed N] [--period N] [--check]`
 //!
 //! `--check` re-reads the committed `results/telemetry.json` and
 //! validates its schema and the frontier ordering without running
 //! anything — the CI drift gate. It refuses a file a `--fast` run wrote.
 
-use amlight_bench::util::{arg_seed, banner, flag_fast, require_full_run, results_dir, write_json};
+use amlight_bench::util::{
+    artifact_path, banner, require_full_run, streaming_trainer_config, write_json,
+};
 use amlight_core::event::{TelemetryBackend, ViewOptions};
-use amlight_core::runtime::{ThreadedPipeline, ThreadedRunStats};
+use amlight_core::runtime::ThreadedPipeline;
 use amlight_core::source::{EventSource, ReplaySource};
 use amlight_core::testbed::{Testbed, TestbedConfig};
-use amlight_core::trainer::{dataset_from_labeled, train_bundle, ModelBundle, TrainerConfig};
-use amlight_ml::{MlpConfig, RandomForestConfig};
+use amlight_core::trainer::{dataset_from_labeled, train_bundle, ModelBundle};
 use amlight_net::TrafficClass;
 use amlight_traffic::{TrafficMix, TrafficMixConfig};
 use serde::{Deserialize, Serialize};
@@ -102,15 +103,6 @@ struct TelemetryReportJson {
     hops: usize,
     frontier: Vec<FrontierPoint>,
     gap: RecallGap,
-}
-
-fn arg_period(default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--period")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The frontier ordering gate, shared between the live run's printout
@@ -187,7 +179,7 @@ fn gate(report: &TelemetryReportJson) -> Result<(), String> {
 
 /// `--check`: validate the committed artifact instead of running.
 fn check_committed() -> Result<(), String> {
-    let path = results_dir().join("telemetry.json");
+    let path = artifact_path("results/telemetry.json");
     let json = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     require_full_run(&json).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -209,20 +201,6 @@ fn check_committed() -> Result<(), String> {
     Ok(())
 }
 
-fn trainer_config(fast: bool) -> TrainerConfig {
-    TrainerConfig {
-        mlp: MlpConfig {
-            epochs: if fast { 4 } else { 10 },
-            ..MlpConfig::paper_mlp()
-        },
-        forest: RandomForestConfig {
-            n_trees: if fast { 10 } else { 30 },
-            ..RandomForestConfig::fast()
-        },
-        ..Default::default()
-    }
-}
-
 fn run_point<S, L>(
     label: &str,
     backend: TelemetryBackend,
@@ -231,7 +209,7 @@ fn run_point<S, L>(
     bundle: ModelBundle,
     source: S,
     labeled_events: L,
-) -> (FrontierPoint, ThreadedRunStats)
+) -> Result<FrontierPoint, String>
 where
     S: EventSource + 'static,
     L: Iterator<Item = TrafficClass>,
@@ -242,15 +220,12 @@ where
     }
     let pipe = ThreadedPipeline::new(bundle).with_shards(2);
     let start = Instant::now();
-    let stats = match pipe.start(source).join() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{label} run failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let stats = pipe
+        .start(source)
+        .join()
+        .map_err(|e| format!("{label} run failed: {e}"))?;
     let wall = start.elapsed().as_secs_f64();
-    let rec = FrontierPoint {
+    Ok(FrontierPoint {
         label: label.to_string(),
         backend: backend.name().to_string(),
         pint_bits,
@@ -272,22 +247,14 @@ where
                 events: per_class[c as usize],
             })
             .collect(),
-    };
-    (rec, stats)
+    })
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--check") {
-        if let Err(e) = check_committed() {
-            eprintln!("telemetry check FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
+pub fn run(fast: bool, seed: u64, period: Option<u32>, check: bool) -> Result<(), String> {
+    if check {
+        return check_committed();
     }
-
-    let fast = flag_fast();
-    let seed = arg_seed(20824);
-    let period = arg_period(if fast { 64 } else { 256 });
+    let period = period.unwrap_or(if fast { 64 } else { 256 });
     let day_len = if fast { 4 } else { 10 };
     let lab = Testbed::new(TestbedConfig::default());
 
@@ -343,10 +310,10 @@ fn main() {
         let bundle = train_bundle(
             &dataset_from_labeled(&train_view, backend.feature_set()),
             backend.feature_set(),
-            &trainer_config(fast),
+            &streaming_trainer_config(fast),
         );
         let truths: Vec<TrafficClass> = test_view.iter().filter_map(|e| e.truth).collect();
-        let (rec, _) = run_point(
+        frontier.push(run_point(
             &label,
             backend,
             bits,
@@ -354,8 +321,7 @@ fn main() {
             bundle,
             ReplaySource::new(test_view),
             truths.into_iter(),
-        );
-        frontier.push(rec);
+        )?);
     }
 
     println!(
@@ -395,7 +361,7 @@ fn main() {
         .filter(|p| p.backend == "pint")
         .map(|p| p.recall)
         .collect();
-    let report = TelemetryReportJson {
+    let mut report = TelemetryReportJson {
         seed,
         fast,
         sample_period: period,
@@ -413,7 +379,6 @@ fn main() {
         },
         frontier,
     };
-    let mut report = report;
     let verdict = gate(&report);
     report.gap.holds = verdict.is_ok();
     match &verdict {
@@ -428,8 +393,6 @@ fn main() {
         Err(e) => println!("\nUNEXPECTED: frontier ordering failed on this seed: {e}"),
     }
 
-    write_json("telemetry", &report);
-    if verdict.is_err() {
-        std::process::exit(1);
-    }
+    write_json("results/telemetry.json", &report, fast);
+    verdict
 }

@@ -5,15 +5,14 @@
 //! between the INT and sFlow test sets, the spread matters when reading
 //! four-decimal accuracy cells.
 //!
-//! Usage: `repro_variance [--fast] [--seed N]`
+//! Usage: `repro variance [--fast] [--seed N]`
 
-use amlight_bench::capture::{ExperimentCapture, ExperimentConfig};
-use amlight_bench::util::{arg_seed, banner, flag_fast, write_json};
+use crate::Ctx;
+use amlight_bench::util::{banner, forest_config, sflow_set, write_json};
 use amlight_core::trainer::dataset_from_events;
-use amlight_features::{FeatureId, FeatureSet};
+use amlight_features::FeatureSet;
 use amlight_ml::{
-    cross_validate, CvReport, Dataset, GaussianNb, Mlp, MlpConfig, RandomForest,
-    RandomForestConfig, StandardScaler,
+    cross_validate, CvReport, Dataset, GaussianNb, Mlp, MlpConfig, RandomForest, StandardScaler,
 };
 use serde_json::json;
 
@@ -33,14 +32,7 @@ fn suite(
     seed: u64,
     out: &mut Vec<serde_json::Value>,
 ) {
-    let forest_cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
+    let forest_cfg = forest_config(fast);
     let mlp_cfg = MlpConfig {
         epochs: if fast { 4 } else { 12 },
         batch_size: 256,
@@ -78,23 +70,12 @@ fn suite(
     );
 }
 
-/// The queue-blind projection sFlow populates (12 of 15 columns).
-fn sflow_set() -> FeatureSet {
-    FeatureSet::full().without(&FeatureId::QUEUE_COLUMNS)
-}
-
-fn main() {
-    let fast = flag_fast();
-    let mut cfg = if fast {
-        ExperimentConfig::smoke()
-    } else {
-        ExperimentConfig::default()
-    };
-    cfg.seed = arg_seed(cfg.seed);
-    let seed = cfg.seed;
+pub fn run(ctx: &mut Ctx) {
+    let fast = ctx.args.fast;
+    let cap = ctx.capture();
+    let seed = cap.config.seed;
     let k = 5;
 
-    let cap = ExperimentCapture::generate(cfg);
     let int = scaled(&dataset_from_events(&cap.int, FeatureSet::full()));
     let sflow = scaled(&dataset_from_events(&cap.sflow, sflow_set()));
     eprintln!("INT rows: {}, sFlow rows: {}", int.len(), sflow.len());
@@ -109,5 +90,5 @@ fn main() {
         "\n(KNN omitted: memorization + 5 refits on the full INT set is the\n\
          cost the paper's own 1/1000 subsample note is about)"
     );
-    write_json("variance", &rows);
+    write_json("results/variance.json", &rows, fast);
 }

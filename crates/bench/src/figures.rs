@@ -1,18 +1,14 @@
 //! Figure reproductions (paper Figs. 3, 4, 5, 7).
 
 use crate::capture::ExperimentCapture;
+use crate::util::{forest_config, sflow_set};
 use amlight_core::pipeline::PipelineReport;
 use amlight_core::trainer::dataset_from_events;
-use amlight_features::{FeatureId, FeatureSet};
+use amlight_features::FeatureSet;
 use amlight_ml::model::BinaryClassifier;
-use amlight_ml::{ConfusionMatrix, RandomForest, RandomForestConfig, StandardScaler};
+use amlight_ml::{ConfusionMatrix, RandomForest, StandardScaler};
 use amlight_net::TrafficClass;
 use serde::{Deserialize, Serialize};
-
-/// The queue-blind projection sFlow populates (12 of 15 columns).
-fn sflow_set() -> FeatureSet {
-    FeatureSet::full().without(&FeatureId::QUEUE_COLUMNS)
-}
 
 /// **Figs. 3 & 4**: confusion matrices of the Random Forest model on INT
 /// and sFlow test sets (90:10 split).
@@ -21,14 +17,7 @@ pub fn fig3_4_confusions(
     fast: bool,
 ) -> (ConfusionMatrix, ConfusionMatrix) {
     let seed = cap.config.seed;
-    let cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
+    let cfg = forest_config(fast);
 
     let run = |raw: &amlight_ml::Dataset, split_seed: u64| {
         let (train_raw, test_raw) = raw.train_test_split(0.9, split_seed);
@@ -69,14 +58,7 @@ pub struct Fig5Point {
 /// episodes typically have *zero samples* — no data, no prediction.
 pub fn fig5_timeline(cap: &ExperimentCapture, buckets: usize, fast: bool) -> Vec<Fig5Point> {
     let seed = cap.config.seed;
-    let cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
+    let cfg = forest_config(fast);
 
     // Train RF on a 90% split of each view; predict the full stream.
     let int_raw = dataset_from_events(&cap.int, FeatureSet::full());

@@ -1,9 +1,11 @@
 //! Experiment harness: everything needed to regenerate the paper's
 //! tables and figures.
 //!
-//! Each `repro_*` binary in `src/bin/` is a thin wrapper over a function
-//! here; the one Criterion bench lives in `benches/`. See DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for recorded results.
+//! The `repro` binary (`src/bin/repro/`) is the one entry point:
+//! `repro <target>... [--fast] [--seed N]` runs any of the paper's
+//! tables and figures over the functions here, plus the ablations,
+//! studies, quality gates and the detection microbenchmark. See DESIGN.md
+//! §4 for the experiment index and EXPERIMENTS.md for recorded results.
 
 // Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
 #![forbid(unsafe_code)]

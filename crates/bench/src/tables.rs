@@ -1,23 +1,19 @@
 //! Table reproductions (paper Tables I–VI).
 
 use crate::capture::ExperimentCapture;
+use crate::util::{forest_config, sflow_set};
 use amlight_core::pipeline::{DetectionPipeline, PipelineConfig};
 use amlight_core::testbed::{Testbed, TestbedConfig};
 use amlight_core::trainer::{dataset_from_events, train_bundle, TrainerConfig};
-use amlight_features::{FeatureId, FeatureSet};
+use amlight_features::FeatureSet;
 use amlight_ml::model::BinaryClassifier;
 use amlight_ml::{
     permutation_importance, top_k_features, BinaryMetrics, ConfusionMatrix, Dataset, GaussianNb,
-    Knn, Mlp, MlpConfig, RandomForest, RandomForestConfig, StandardScaler,
+    Knn, Mlp, MlpConfig, RandomForest, StandardScaler,
 };
 use amlight_net::TrafficClass;
-use amlight_traffic::{AttackKind, EpisodeSchedule, ReplayLibrary};
+use amlight_traffic::{EpisodeSchedule, ReplayLibrary};
 use serde::{Deserialize, Serialize};
-
-/// The queue-blind projection sFlow populates (12 of 15 columns).
-fn sflow_set() -> FeatureSet {
-    FeatureSet::full().without(&FeatureId::QUEUE_COLUMNS)
-}
 
 /// One row of Tables III/IV.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,14 +44,7 @@ fn model_suite(
     fast: bool,
     seed: u64,
 ) -> Vec<(&'static str, Box<dyn BinaryClassifier>)> {
-    let forest_cfg = if fast {
-        RandomForestConfig {
-            n_trees: 10,
-            ..RandomForestConfig::fast()
-        }
-    } else {
-        RandomForestConfig::fast()
-    };
+    let forest_cfg = forest_config(fast);
     let mlp_cfg = MlpConfig {
         epochs: if fast { 5 } else { 20 },
         batch_size: 256,
@@ -108,6 +97,18 @@ fn evaluate_suite(
         .collect()
 }
 
+/// Interleave INT/sFlow per model, like the paper's table layout.
+fn interleave_by_model(mut rows: Vec<MetricsRow>) -> Vec<MetricsRow> {
+    let order = ["RF", "GNB", "KNN", "NN"];
+    rows.sort_by_key(|r| {
+        (
+            order.iter().position(|m| *m == r.model).unwrap_or(9),
+            r.data != "INT",
+        )
+    });
+    rows
+}
+
 /// **Table III**: INT vs sFlow across four models, 90:10 random split.
 pub fn table3_comparison(cap: &ExperimentCapture, fast: bool) -> Vec<MetricsRow> {
     let seed = cap.config.seed;
@@ -119,15 +120,7 @@ pub fn table3_comparison(cap: &ExperimentCapture, fast: bool) -> Vec<MetricsRow>
 
     let mut rows = evaluate_suite("INT", &int_train, &int_test, fast, seed);
     rows.extend(evaluate_suite("sFlow", &sf_train, &sf_test, fast, seed));
-    // Interleave INT/sFlow per model, like the paper's table layout.
-    let order = ["RF", "GNB", "KNN", "NN"];
-    rows.sort_by_key(|r| {
-        (
-            order.iter().position(|m| *m == r.model).unwrap_or(9),
-            r.data != "INT",
-        )
-    });
-    rows
+    interleave_by_model(rows)
 }
 
 /// **Table IV**: zero-day evaluation — train on day 0, test on day 1
@@ -144,14 +137,7 @@ pub fn table4_zero_day(cap: &ExperimentCapture, fast: bool) -> Vec<MetricsRow> {
 
     let mut rows = evaluate_suite("INT", &int_train, &int_test, fast, seed);
     rows.extend(evaluate_suite("sFlow", &sf_train, &sf_test, fast, seed));
-    let order = ["RF", "GNB", "KNN", "NN"];
-    rows.sort_by_key(|r| {
-        (
-            order.iter().position(|m| *m == r.model).unwrap_or(9),
-            r.data != "INT",
-        )
-    });
-    rows
+    interleave_by_model(rows)
 }
 
 /// One model's top-k features (paper Table V).
@@ -192,15 +178,7 @@ pub fn table5_importance(cap: &ExperimentCapture, fast: bool) -> Vec<ImportanceR
     for (name, model) in model_suite(&train, fast, seed) {
         let scores = if name == "RF" {
             // Refit to grab native importances (the suite erased the type).
-            let cfg = if fast {
-                RandomForestConfig {
-                    n_trees: 10,
-                    ..RandomForestConfig::fast()
-                }
-            } else {
-                RandomForestConfig::fast()
-            };
-            RandomForest::fit(&train, &cfg, seed).feature_importances()
+            RandomForest::fit(&train, &forest_config(fast), seed).feature_importances()
         } else {
             permutation_importance(model.as_ref(), &test, if fast { 1 } else { 2 }, seed ^ 0x5)
         };
@@ -274,14 +252,7 @@ pub fn table6_automated(
             batch_size: 256,
             ..MlpConfig::paper_mlp()
         },
-        forest: if fast {
-            RandomForestConfig {
-                n_trees: 10,
-                ..RandomForestConfig::fast()
-            }
-        } else {
-            RandomForestConfig::fast()
-        },
+        forest: forest_config(fast),
         seed,
     };
     let bundle = train_bundle(&train_raw, FeatureSet::full(), &trainer_cfg);
@@ -358,11 +329,6 @@ pub fn table2_features() -> Vec<String> {
             )
         })
         .collect()
-}
-
-/// Attack kinds in the Table I schedule (re-exported for binaries).
-pub fn schedule_attacks() -> [AttackKind; 4] {
-    AttackKind::ALL
 }
 
 #[cfg(test)]

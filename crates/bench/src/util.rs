@@ -1,60 +1,82 @@
-//! Small shared helpers for the `repro_*` and `bench_*` binaries.
+//! Small shared helpers for the `repro` binary.
 
+use amlight_core::trainer::TrainerConfig;
+use amlight_features::{FeatureId, FeatureSet};
+use amlight_ml::{MlpConfig, RandomForestConfig};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
 
-/// `--fast` trims workload sizes and training budgets for smoke runs.
-pub fn flag_fast() -> bool {
-    std::env::args().any(|a| a == "--fast")
+/// The queue-blind projection sFlow populates (12 of 15 columns).
+pub fn sflow_set() -> FeatureSet {
+    FeatureSet::full().without(&FeatureId::QUEUE_COLUMNS)
 }
 
-/// `--seed N` overrides the default experiment seed.
-pub fn arg_seed(default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Directory JSON results are written to (`results/` at the repo root,
-/// overridable with `AMLIGHT_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    std::env::var("AMLIGHT_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
-}
-
-/// Serialize `value` to `results/<name>.json`, creating the directory.
-/// Failures are reported, not fatal — the printed table is the primary
-/// artifact.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warn: cannot create {}: {e}", dir.display());
-        return;
-    }
-    write_pretty(&dir.join(format!("{name}.json")), value);
-}
-
-/// Serialize a gated bench's report to `BENCH_<name>.json` at the repo
-/// root — full runs only. A `--fast` smoke run prints and gates but
-/// writes nothing, so it can never become, or clobber, the committed
-/// artifact.
-pub fn write_bench_artifact<T: Serialize>(name: &str, value: &T, fast: bool) {
-    let path = PathBuf::from(format!("BENCH_{name}.json"));
+/// The Random Forest the offline experiments train: 10 trees under
+/// `--fast`, [`RandomForestConfig::fast`] otherwise.
+pub fn forest_config(fast: bool) -> RandomForestConfig {
     if fast {
-        eprintln!("(--fast: {} left as committed)", path.display());
+        RandomForestConfig {
+            n_trees: 10,
+            ..RandomForestConfig::fast()
+        }
     } else {
-        write_pretty(&path, value);
+        RandomForestConfig::fast()
     }
 }
 
-fn write_pretty<T: Serialize>(path: &Path, value: &T) {
+/// The bundle the threaded-pipeline targets (telemetry, prefilter)
+/// train: 4 MLP epochs and 10 trees under `--fast`, 10 and 30 otherwise.
+pub fn streaming_trainer_config(fast: bool) -> TrainerConfig {
+    TrainerConfig {
+        mlp: MlpConfig {
+            epochs: if fast { 4 } else { 10 },
+            ..MlpConfig::paper_mlp()
+        },
+        forest: RandomForestConfig {
+            n_trees: if fast { 10 } else { 30 },
+            ..RandomForestConfig::fast()
+        },
+        ..Default::default()
+    }
+}
+
+/// `file` (a committed artifact's path from the repo root) moved into
+/// `AMLIGHT_RESULTS_DIR`, when that is set.
+fn redirected(file: &str) -> Option<PathBuf> {
+    let dir = std::env::var("AMLIGHT_RESULTS_DIR").ok()?;
+    Some(Path::new(&dir).join(Path::new(file).file_name()?))
+}
+
+/// Where the committed artifact `file` (`results/telemetry.json`,
+/// `BENCH_drift.json`, …) is read from: the same file name in
+/// `AMLIGHT_RESULTS_DIR` when that is set, `file` itself otherwise.
+pub fn artifact_path(file: &str) -> PathBuf {
+    redirected(file).unwrap_or_else(|| PathBuf::from(file))
+}
+
+/// Serialize `value` to [`artifact_path`]`(file)`. Every committed
+/// artifact is a full run: a `--fast` smoke run writes only into an
+/// explicitly set `AMLIGHT_RESULTS_DIR`, and without one prints and
+/// leaves the committed file alone. Failures are reported, not fatal —
+/// the printed table is the primary artifact.
+pub fn write_json<T: Serialize>(file: &str, value: &T, fast: bool) {
+    let path = match redirected(file) {
+        Some(path) => path,
+        None if fast => {
+            eprintln!("(--fast: {file} left as committed)");
+            return;
+        }
+        None => PathBuf::from(file),
+    };
+    if let Some(dir) = path.parent() {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("warn: cannot create {}: {e}", dir.display());
+            return;
+        }
+    }
     match serde_json::to_string_pretty(value) {
         Ok(json) => {
-            if let Err(e) = std::fs::write(path, json) {
+            if let Err(e) = std::fs::write(&path, json) {
                 eprintln!("warn: cannot write {}: {e}", path.display());
             } else {
                 eprintln!("(wrote {})", path.display());

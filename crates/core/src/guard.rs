@@ -1,6 +1,6 @@
 //! The new-flow-rate guard: catching what per-update prediction cannot.
 //!
-//! Ablation 4 (`repro_ablations`) shows a structural blind spot of the
+//! Ablation 4 (`repro ablations`) shows a structural blind spot of the
 //! paper's mechanism: a fully spoofed SYN flood makes every packet its
 //! own flow, the CentralServer skips brand-new flows, and the ML path
 //! produces **zero** predictions. The telemetry still screams, though —

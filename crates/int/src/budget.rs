@@ -5,7 +5,7 @@
 //! \[31\]) to cut INT's per-packet overhead before production deployment.
 //! This module implements both reduction modes over our telemetry
 //! stream so the cost/accuracy trade-off can be measured
-//! (`repro_overhead` in the bench crate):
+//! (`repro overhead` in the bench crate):
 //!
 //! * **Probabilistic** — each packet carries the per-hop metadata stack
 //!   with probability *p* (PINT's per-packet value sampling, the

@@ -4,7 +4,7 @@
 //! Gaussian Naive Bayes, but the Table VI procedure says the ensemble
 //! combines "the MLP, RF, and **GB** models". We implement both so the
 //! ambiguity can be tested instead of argued about (see the
-//! `repro_ablations` ensemble study).
+//! `repro ablations` ensemble study).
 //!
 //! This is classic logit-loss gradient boosting: regression trees fit to
 //! the negative gradient (residuals) of the log-loss, shrunk by a

@@ -4,7 +4,7 @@
 //! detection on OpenFlow counters, and the paper notes "the number of
 //! features that can be derived from this method may be somewhat
 //! limited". This module makes that third telemetry style concrete so
-//! the limitation can be measured (`repro_baselines`): a poller reads
+//! the limitation can be measured (`repro baselines`): a poller reads
 //! per-flow packet/byte counters every `interval_ns` and emits one
 //! record per active flow per interval — no per-packet sizes, no
 //! inter-arrival times, no queue depths; only interval deltas.
