@@ -13,8 +13,9 @@
 //! blessing — never an edge too few, which would silently hide an
 //! allocation. Three trust boundaries bound the graph:
 //!
-//! * `shims/` is excluded — shims model external crates; R5 is their
-//!   contract and their internals are not the workspace's hot path.
+//! * `shims/` is excluded — shims model external crates; rustc and
+//!   clippy police their `unsafe`, and their internals are not the
+//!   workspace's hot path.
 //! * test-context files and `#[cfg(test)]` items are excluded.
 //! * `// amlint: cold` functions stop traversal: calling into one is
 //!   fine, what happens inside is by declaration off the hot path.

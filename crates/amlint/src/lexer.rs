@@ -435,9 +435,9 @@ mod tests {
 
     #[test]
     fn comments_are_side_channel() {
-        let lexed = lex("let a = 1; // amlint: allow(R1) -- reason\n/* block\nspan */ let b = 2;");
+        let lexed = lex("let a = 1; // amlint: allow(R2) -- reason\n/* block\nspan */ let b = 2;");
         assert_eq!(lexed.comments.len(), 2);
-        assert!(lexed.comments[0].text.contains("allow(R1)"));
+        assert!(lexed.comments[0].text.contains("allow(R2)"));
         assert_eq!(lexed.comments[1].start_line, 2);
         assert_eq!(lexed.comments[1].end_line, 3);
         assert!(lexed.tokens.iter().all(|t| t.text != "allow"));

@@ -4,13 +4,10 @@
 //! cargo run -p amlint                     # human-readable findings
 //! cargo run -p amlint -- --format json    # machine-readable, for results/
 //! cargo run -p amlint -- --format github  # ::error workflow commands
-//! cargo run -p amlint -- --self-check     # lint amlint itself + root inventory
 //! ```
 //!
 //! Exits 0 when every finding is suppressed (or there are none), 1 on
 //! any live violation, 2 on usage/IO errors.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -26,18 +23,15 @@ struct Args {
     root: PathBuf,
     format: Format,
     quiet: bool,
-    self_check: bool,
 }
 
-const USAGE: &str =
-    "usage: amlint [--root PATH] [--format text|json|github] [--quiet] [--self-check]";
+const USAGE: &str = "usage: amlint [--root PATH] [--format text|json|github] [--quiet]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::new(),
         format: Format::Text,
         quiet: false,
-        self_check: false,
     };
     let mut root: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
@@ -57,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
                     ))
                 }
             },
-            "--self-check" => args.self_check = true,
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
@@ -116,39 +109,6 @@ fn print_github(report: &amlint::Report) {
     );
 }
 
-/// `--self-check`: amlint lints its own crate (the analyzer must pass
-/// its own rules) and verifies the hot-root inventory — every root in
-/// [`amlint::EXPECTED_HOT_ROOTS`] must still carry its `// amlint: hot`
-/// annotation somewhere in the workspace.
-fn self_check(report: &amlint::Report) -> Result<(), String> {
-    let own: Vec<_> = report
-        .diagnostics
-        .iter()
-        .filter(|d| !d.suppressed && d.file.starts_with("crates/amlint/"))
-        .collect();
-    if !own.is_empty() {
-        let mut msg = String::from("amlint fails its own rules:\n");
-        for d in &own {
-            msg.push_str(&format!("  {d}\n"));
-        }
-        return Err(msg);
-    }
-    let missing: Vec<&str> = amlint::EXPECTED_HOT_ROOTS
-        .iter()
-        .filter(|r| !report.hot_roots.iter().any(|h| h == *r))
-        .copied()
-        .collect();
-    if !missing.is_empty() {
-        return Err(format!(
-            "hot-path root annotations missing (drift gate): {}\n\
-             restore the `// amlint: hot` annotation or update EXPECTED_HOT_ROOTS \
-             alongside the snapshot",
-            missing.join(", ")
-        ));
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -165,22 +125,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if args.self_check {
-        return match self_check(&report) {
-            Ok(()) => {
-                println!(
-                    "amlint --self-check: ok ({} hot roots, own crate clean)",
-                    report.hot_roots.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(1)
-            }
-        };
-    }
 
     match args.format {
         Format::Json => print!("{}", report.to_json()),

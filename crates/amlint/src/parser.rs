@@ -296,8 +296,8 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                     });
                 }
                 // A dangling `hot` annotation binds nothing — the
-                // self-check's expected-roots inventory catches roots
-                // that silently detached.
+                // snapshot's `hot_roots` diff catches roots that
+                // silently detached.
             }
         }
     }

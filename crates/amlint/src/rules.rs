@@ -1,77 +1,18 @@
-//! The five amlint rules, evaluated over the token stream.
+//! The per-file amlint rules, evaluated over the token stream.
 //!
-//! Every rule is a lexical/structural approximation of a project
-//! invariant (see README.md § "Static analysis & invariants"):
-//!
-//! * **R1** — no `unwrap()` / `expect()` / `panic!` / `todo!` /
-//!   `unimplemented!` in hot-path modules outside `#[cfg(test)]`.
 //! * **R2** — arithmetic on 32-bit INT ingress/egress timestamps must
 //!   use `wrapping_*` operations (the paper's INT report carries 32-bit
 //!   ns counters that wrap every ~4.3 s). Keys on identifiers that
 //!   contain `tstamp` or `stamp32`.
-//! * **R3** — no direct `==` / `!=` against floating-point literals
-//!   (feature values are f64; exact comparison is how unclamped NaN and
-//!   ULP noise sneak into the ensemble vote).
-//! * **R4** — no lock guard held across a channel `.send(` / `.recv(`
-//!   in the threaded runtime (`runtime.rs`, `modules.rs`, …): a blocked
-//!   bounded channel plus a held lock is the classic pipeline deadlock.
-//! * **R5** — `unsafe` only in `shims/`, and every occurrence there
-//!   must carry a `// SAFETY:` comment.
+//! * **R3** — no direct `==` / `!=` against a floating-point literal or
+//!   a `::NAN` path (feature values are f64; exact comparison is how
+//!   unclamped NaN and ULP noise sneak into the ensemble vote).
 //!
 //! Rules run on tokens — never inside comments or string literals — and
-//! skip `#[cfg(test)]` / `#[test]` items where noted.
+//! skip `#[cfg(test)]` / `#[test]` items.
 
-use crate::lexer::{Comment, Lexed, TokKind, Token};
+use crate::lexer::{Lexed, TokKind, Token};
 use crate::{Diagnostic, FileClass};
-
-/// Hot-path modules for R1 (workspace-relative path suffixes). The
-/// sFlow agent and datagram codec joined the list when the telemetry-
-/// generic event layer put them on the live ingest path; the ingest
-/// server and the mailbox it publishes through joined when the socket
-/// front end made them the first thing a wire datagram touches.
-const HOT_PATH_FILES: &[&str] = &[
-    "crates/core/src/pipeline.rs",
-    "crates/core/src/runtime.rs",
-    "crates/core/src/modules.rs",
-    "crates/core/src/source.rs",
-    "crates/core/src/event.rs",
-    "crates/core/src/db.rs",
-    "crates/core/src/mailbox.rs",
-    "crates/core/src/epoch.rs",
-    "crates/core/src/drift.rs",
-    "crates/features/src/sharded.rs",
-    "crates/features/src/table.rs",
-    "crates/ingest/src/lib.rs",
-    "crates/int/src/hops.rs",
-    "crates/int/src/report.rs",
-    "crates/int/src/collector.rs",
-    "crates/int/src/metadata.rs",
-    "crates/sflow/src/agent.rs",
-    "crates/sflow/src/datagram.rs",
-];
-
-/// Files where R4 (lock-across-send) applies.
-const R4_FILES: &[&str] = &[
-    "crates/core/src/runtime.rs",
-    "crates/core/src/modules.rs",
-    "crates/core/src/epoch.rs",
-    "crates/core/src/source.rs",
-    "crates/core/src/event.rs",
-    "crates/core/src/mailbox.rs",
-    "crates/ingest/src/lib.rs",
-    "crates/sflow/src/agent.rs",
-    "crates/sflow/src/datagram.rs",
-];
-
-/// Is this file part of the detection hot path (R1 scope)?
-pub fn is_hot_path(rel: &str) -> bool {
-    HOT_PATH_FILES.contains(&rel) || rel.starts_with("crates/ml/src/")
-}
-
-/// Does R4 apply to this file?
-pub fn r4_applies(rel: &str) -> bool {
-    R4_FILES.contains(&rel)
-}
 
 /// Inclusive line spans covered by `#[cfg(test)]` / `#[test]` items.
 pub fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
@@ -168,29 +109,16 @@ fn in_spans(spans: &[(u32, u32)], line: u32) -> bool {
     spans.iter().any(|&(a, b)| line >= a && line <= b)
 }
 
-/// Evaluate every applicable rule; returns raw (pre-suppression)
+/// Evaluate R2 and R3 on a library file; returns raw (pre-suppression)
 /// diagnostics.
 pub fn check(rel: &str, class: FileClass, lexed: &Lexed) -> Vec<Diagnostic> {
-    let tokens = &lexed.tokens;
-    let spans = test_spans(tokens);
     let mut diags = Vec::new();
-
-    let lib_code = class == FileClass::Library;
-
-    if lib_code && is_hot_path(rel) {
-        r1_no_panics(rel, tokens, &spans, &mut diags);
-    }
-    if lib_code {
+    if class == FileClass::Library {
+        let tokens = &lexed.tokens;
+        let spans = test_spans(tokens);
         r2_wrapping_timestamps(rel, tokens, &spans, &mut diags);
         r3_no_float_eq(rel, tokens, &spans, &mut diags);
     }
-    if lib_code && r4_applies(rel) {
-        r4_no_lock_across_channel(rel, tokens, &spans, &mut diags);
-    }
-    // R5 applies everywhere, tests included: unsafe in a test is still
-    // unsafe, and shim tests need SAFETY comments like shim code does.
-    r5_unsafe_policy(rel, class, tokens, &lexed.comments, &mut diags);
-
     diags.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     diags
 }
@@ -203,39 +131,6 @@ fn diag(rel: &str, line: u32, rule: &'static str, message: String) -> Diagnostic
         message,
         suppressed: false,
         suppress_reason: None,
-    }
-}
-
-/// R1: panicking constructs in hot-path modules.
-fn r1_no_panics(rel: &str, tokens: &[Token], spans: &[(u32, u32)], out: &mut Vec<Diagnostic>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_spans(spans, t.line) {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|p| tokens[p].text.as_str());
-        let next = tokens.get(i + 1).map(|n| n.text.as_str());
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev == Some(".") && next == Some("(") => {
-                out.push(diag(
-                    rel,
-                    t.line,
-                    "R1",
-                    format!(
-                        "`.{}()` in hot-path module: return a typed error or add a suppression",
-                        t.text
-                    ),
-                ));
-            }
-            "panic" | "todo" | "unimplemented" if next == Some("!") => {
-                out.push(diag(
-                    rel,
-                    t.line,
-                    "R1",
-                    format!("`{}!` in hot-path module outside #[cfg(test)]", t.text),
-                ));
-            }
-            _ => {}
-        }
     }
 }
 
@@ -377,134 +272,6 @@ fn r3_no_float_eq(rel: &str, tokens: &[Token], spans: &[(u32, u32)], out: &mut V
     }
 }
 
-/// Guard-acquiring methods on the parking_lot shim types.
-const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// R4: no lock guard live across a channel send/recv.
-fn r4_no_lock_across_channel(
-    rel: &str,
-    tokens: &[Token],
-    spans: &[(u32, u32)],
-    out: &mut Vec<Diagnostic>,
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        let acquires = t.kind == TokKind::Ident
-            && GUARD_METHODS.contains(&t.text.as_str())
-            && i >= 1
-            && tokens[i - 1].text == "."
-            && tokens.get(i + 1).is_some_and(|n| n.text == "(")
-            && tokens.get(i + 2).is_some_and(|n| n.text == ")");
-        if !acquires || in_spans(spans, t.line) {
-            continue;
-        }
-
-        // Find the binding name: statement looks like `let [mut] g = …`.
-        // Walk back to the previous `;` / `{` / `}` and inspect.
-        let mut s = i;
-        while s > 0 && !matches!(tokens[s - 1].text.as_str(), ";" | "{" | "}") {
-            s -= 1;
-        }
-        let bound_name = if tokens.get(s).is_some_and(|t| t.text == "let") {
-            let mut n = s + 1;
-            if tokens.get(n).is_some_and(|t| t.text == "mut") {
-                n += 1;
-            }
-            tokens
-                .get(n)
-                .filter(|t| t.kind == TokKind::Ident)
-                .map(|t| t.text.clone())
-        } else {
-            None
-        };
-
-        // Guard lifetime: a named guard lives to the end of the current
-        // block (or an explicit `drop(name)`); a temporary guard dies at
-        // the end of the statement.
-        let mut depth = 0i32;
-        let mut j = i + 3; // past `( )`
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break; // end of enclosing block
-                    }
-                }
-                ";" if bound_name.is_none() && depth == 0 => break,
-                "drop"
-                    if bound_name.is_some()
-                        && tokens.get(j + 1).is_some_and(|n| n.text == "(")
-                        && tokens
-                            .get(j + 2)
-                            .is_some_and(|n| Some(&n.text) == bound_name.as_ref()) =>
-                {
-                    break
-                }
-                "send" | "recv"
-                    if tokens[j].kind == TokKind::Ident
-                        && tokens[j - 1].text == "."
-                        && tokens.get(j + 1).is_some_and(|n| n.text == "(") =>
-                {
-                    out.push(diag(
-                        rel,
-                        tokens[j].line,
-                        "R4",
-                        format!(
-                            "channel `.{}(` while the {} guard acquired on line {} is still live: drop the guard first (bounded channels block; a held lock makes that a deadlock)",
-                            tokens[j].text,
-                            bound_name.as_deref().map_or_else(
-                                || "temporary".to_string(),
-                                |n| format!("`{n}`")
-                            ),
-                            t.line
-                        ),
-                    ));
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-}
-
-/// R5: unsafe containment + SAFETY comments.
-fn r5_unsafe_policy(
-    rel: &str,
-    class: FileClass,
-    tokens: &[Token],
-    comments: &[Comment],
-    out: &mut Vec<Diagnostic>,
-) {
-    for t in tokens {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if class != FileClass::Shim {
-            out.push(diag(
-                rel,
-                t.line,
-                "R5",
-                "`unsafe` outside shims/: the detection crates are #![forbid(unsafe_code)] territory"
-                    .to_string(),
-            ));
-            continue;
-        }
-        let blessed = comments.iter().any(|c| {
-            c.text.contains("SAFETY:") && c.end_line <= t.line && c.end_line + 2 >= t.line
-        });
-        if !blessed {
-            out.push(diag(
-                rel,
-                t.line,
-                "R5",
-                "`unsafe` in shims/ without a `// SAFETY:` comment on the preceding lines"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,39 +281,12 @@ mod tests {
         check(rel, class, &lex(src))
     }
 
-    const HOT: &str = "crates/ml/src/tree.rs";
-
     #[test]
     fn test_spans_cover_cfg_test_mods() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n fn x() { a.unwrap(); }\n}\n";
         let lexed = lex(src);
         let spans = test_spans(&lexed.tokens);
         assert_eq!(spans, vec![(2, 5)]);
-    }
-
-    #[test]
-    fn r1_skips_test_regions() {
-        let src = "fn live() { x.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { y.unwrap(); } }\n";
-        let d = run(HOT, FileClass::Library, src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "R1");
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn r1_only_fires_in_hot_paths() {
-        let src = "fn live() { x.unwrap(); }";
-        assert!(run("crates/sim/src/engine.rs", FileClass::Library, src).is_empty());
-        assert_eq!(run(HOT, FileClass::Library, src).len(), 1);
-    }
-
-    #[test]
-    fn r1_catches_macros_but_not_lookalikes() {
-        let src =
-            "fn f() { panic!(\"x\"); todo!(); std::panic::catch_unwind(|| {}); v.unwrap_or(0); }";
-        let d = run(HOT, FileClass::Library, src);
-        assert_eq!(d.len(), 2);
-        assert!(d.iter().all(|d| d.rule == "R1"));
     }
 
     #[test]
@@ -586,47 +326,6 @@ mod tests {
     fn r3_allows_integer_equality_and_tests() {
         let src = "fn f(x: u32) -> bool { x == 0 }\n#[cfg(test)]\nmod t { fn g(y: f64) -> bool { y == 0.5 } }";
         let d = run("crates/features/src/stats.rs", FileClass::Library, src);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn r4_flags_send_under_live_guard() {
-        let src = "fn f(&self) { let g = self.state.lock(); tx.send(1).unwrap(); }";
-        let d = run("crates/core/src/runtime.rs", FileClass::Library, src);
-        assert!(d.iter().any(|d| d.rule == "R4"), "{d:?}");
-    }
-
-    #[test]
-    fn r4_allows_dropped_guard_and_other_files() {
-        let dropped = "fn f(&self) { let g = self.state.lock(); drop(g); tx.send(1); }";
-        let d = run("crates/core/src/runtime.rs", FileClass::Library, dropped);
-        assert!(d.iter().all(|d| d.rule != "R4"), "{d:?}");
-        let other = "fn f(&self) { let g = self.state.lock(); tx.send(1); }";
-        let d = run("crates/core/src/db.rs", FileClass::Library, other);
-        assert!(d.iter().all(|d| d.rule != "R4"), "{d:?}");
-    }
-
-    #[test]
-    fn r4_temporary_guard_dies_at_statement_end() {
-        let src = "fn f(&self) { *self.cursor.lock() = 5; tx.send(1); }";
-        let d = run("crates/core/src/runtime.rs", FileClass::Library, src);
-        assert!(d.iter().all(|d| d.rule != "R4"), "{d:?}");
-    }
-
-    #[test]
-    fn r5_flags_unsafe_outside_shims() {
-        let src = "fn f() { unsafe { std::hint::unreachable_unchecked() } }";
-        let d = run("crates/net/src/packet.rs", FileClass::Library, src);
-        assert!(d.iter().any(|d| d.rule == "R5"), "{d:?}");
-    }
-
-    #[test]
-    fn r5_requires_safety_comment_in_shims() {
-        let bare = "fn f() { unsafe { imp() } }";
-        let d = run("shims/bytes/src/lib.rs", FileClass::Shim, bare);
-        assert!(d.iter().any(|d| d.rule == "R5"), "{d:?}");
-        let blessed = "fn f() {\n // SAFETY: imp has no preconditions here\n unsafe { imp() } }";
-        let d = run("shims/bytes/src/lib.rs", FileClass::Shim, blessed);
         assert!(d.is_empty(), "{d:?}");
     }
 }

@@ -9,14 +9,16 @@
 //!   the static twin of the stats_alloc runtime gate.
 //! * **R7 — channel/lock topology.** Channel construction must be
 //!   bounded (`unbounded(` is a violation anywhere in library code),
-//!   no blocking channel op may be *transitively* reachable while a
-//!   lock guard is held, and the per-type lock acquisition order must
-//!   be acyclic. Generalizes the single-file R4 across calls.
-//! * **R8 — transitive panic reachability.** R1 rechecked over the
-//!   call graph: a hot-reachable helper that `unwrap`s or indexes
-//!   (`x[i]`, non-range) is a violation even when it lives in a file
-//!   R1 never listed. Range slices (`x[a..b]`) are out of scope —
-//!   they are how the decoders already bound their accesses.
+//!   no blocking channel op may run — directly or through a callee —
+//!   while a lock guard is held, and the per-type lock acquisition
+//!   order must be acyclic.
+//! * **R8 — panic reachability.** `.unwrap()` / `.expect(` / the
+//!   `PANIC_MACROS` are violations in every non-test fn of a
+//!   `HOT_PATH_FILES` module (or `crates/ml/src/`) and in every
+//!   hot-reachable fn wherever it lives; non-range indexing (`x[i]`)
+//!   is a violation in hot-reachable fns. Range slices (`x[a..b]`) are
+//!   out of scope — they are how the decoders already bound their
+//!   accesses.
 //! * **R9 — untrusted-cast taint.** In the `int` / `sflow` / `ingest`
 //!   decode crates, values derived from datagram bytes (`get_u16()`,
 //!   `.len()`, `remaining()`) must not flow through a *narrowing*
@@ -27,9 +29,40 @@
 use crate::callgraph::Workspace;
 use crate::lexer::TokKind;
 use crate::parser::is_keyword;
-use crate::rules::{is_hot_path, r4_applies};
 use crate::{Diagnostic, SourceFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Hot-path modules whose every non-test fn R8 scans for panics,
+/// reachable from a hot root or not (workspace-relative paths). The
+/// sFlow agent and datagram codec joined the list when the telemetry-
+/// generic event layer put them on the live ingest path; the ingest
+/// server and the mailbox it publishes through joined when the socket
+/// front end made them the first thing a wire datagram touches.
+const HOT_PATH_FILES: &[&str] = &[
+    "crates/core/src/pipeline.rs",
+    "crates/core/src/runtime.rs",
+    "crates/core/src/modules.rs",
+    "crates/core/src/source.rs",
+    "crates/core/src/event.rs",
+    "crates/core/src/db.rs",
+    "crates/core/src/mailbox.rs",
+    "crates/core/src/epoch.rs",
+    "crates/core/src/drift.rs",
+    "crates/features/src/sharded.rs",
+    "crates/features/src/table.rs",
+    "crates/ingest/src/lib.rs",
+    "crates/int/src/hops.rs",
+    "crates/int/src/report.rs",
+    "crates/int/src/collector.rs",
+    "crates/int/src/metadata.rs",
+    "crates/sflow/src/agent.rs",
+    "crates/sflow/src/datagram.rs",
+];
+
+/// Is this file part of the detection hot path (R8's file scope)?
+fn is_hot_path(rel: &str) -> bool {
+    HOT_PATH_FILES.contains(&rel) || rel.starts_with("crates/ml/src/")
+}
 
 /// Owning-container constructors: `Type::ctor(` allocates.
 const ALLOC_TYPES: &[&str] = &[
@@ -115,16 +148,29 @@ fn emit_cold_aware(
     out.push(d);
 }
 
-/// R6 (allocation) and R8 (panic/indexing) share the hot-reachable set.
+/// R6 (allocation) and R8 (panic/indexing) over the hot-reachable set,
+/// plus R8's panic scan over every fn of a hot-path module.
 fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let reach = ws.hot_reachable();
     let mut seen: BTreeSet<(String, u32, String)> = BTreeSet::new();
     for f in 0..ws.fns.len() {
-        if !reach.contains_key(&f) {
+        let rel = ws.rel(f).to_string();
+        let reachable = reach.contains_key(&f);
+        if !reachable && !is_hot_path(&rel) {
             continue;
         }
-        let rel = ws.rel(f).to_string();
-        let path = ws.path_to(&reach, f);
+        let path = if reachable {
+            ws.path_to(&reach, f)
+        } else {
+            String::new()
+        };
+        // Why a panic here matters: the call chain from a hot root, or
+        // the file's place on the pipeline's hot path.
+        let panic_scope = if reachable {
+            format!("is hot-reachable ({path})")
+        } else {
+            format!("is in hot-path module {rel}")
+        };
         let tokens = &ws.files[ws.fns[f].file].lexed.tokens;
 
         // R6/R8 over extracted call sites.
@@ -140,7 +186,7 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             } else {
                 None
             };
-            if let Some(c) = construct {
+            if let Some(c) = construct.filter(|_| reachable) {
                 if seen.insert((rel.clone(), call.line, c.clone())) {
                     emit_cold_aware(
                         ws,
@@ -157,7 +203,6 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             }
             if call.is_method
                 && (call.name == "unwrap" || call.name == "expect")
-                && !is_hot_path(&rel)
                 && seen.insert((rel.clone(), call.line, format!(".{}(", call.name)))
             {
                 emit_cold_aware(
@@ -166,8 +211,8 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     call.line,
                     "R8",
                     format!(
-                        ".{}() is hot-reachable ({path}) though {rel} is outside R1's \
-                         file list; return an error or bless with `// amlint: cold -- why`",
+                        "`.{}()` {panic_scope}; return a typed error or bless with \
+                         `// amlint: cold -- why`",
                         call.name
                     ),
                     out,
@@ -181,7 +226,8 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
             let t = &tokens[i];
             let next_is = |s: &str| tokens.get(i + 1).is_some_and(|n| n.text == s);
             if t.kind == TokKind::Ident && next_is("!") {
-                if (t.text == "vec" || t.text == "format")
+                if reachable
+                    && (t.text == "vec" || t.text == "format")
                     && seen.insert((rel.clone(), t.line, format!("{}!", t.text)))
                 {
                     emit_cold_aware(
@@ -198,7 +244,6 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     );
                 }
                 if PANIC_MACROS.contains(&t.text.as_str())
-                    && !is_hot_path(&rel)
                     && seen.insert((rel.clone(), t.line, format!("{}!", t.text)))
                 {
                     emit_cold_aware(
@@ -206,14 +251,14 @@ fn check_r6_r8(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         f,
                         t.line,
                         "R8",
-                        format!("`{}!` is hot-reachable ({path})", t.text),
+                        format!("`{}!` {panic_scope}", t.text),
                         out,
                     );
                 }
             }
             // `expr[index]` — previous token ends an expression and the
             // brackets contain a non-range expression.
-            if t.text == "[" && bi > 0 {
+            if reachable && t.text == "[" && bi > 0 {
                 let prev = &tokens[body[bi - 1]];
                 let prev_ends_expr = (prev.kind == TokKind::Ident && !is_keyword(&prev.text))
                     || prev.text == ")"
@@ -496,26 +541,18 @@ fn check_r7(ws: &Workspace, out: &mut Vec<Diagnostic>) {
         let rel = ws.rel(f).to_string();
         let tokens = &ws.files[ws.fns[f].file].lexed.tokens;
         for a in f_acqs {
-            // Direct blocking channel ops in the region. R4 already
-            // polices plain send/recv in its own files; R7 adds the
-            // rest of the workspace and the timeout variants.
+            // Direct blocking channel ops in the region.
             for call in &ws.fns[f].calls {
                 if call.tok <= a.tok || call.tok >= a.region_end {
                     continue;
                 }
                 if call.is_method && CHAN_OPS.contains(&call.name.as_str()) {
-                    let plain = call.name == "send" || call.name == "recv";
-                    if !(plain && r4_applies(&rel))
-                        && flagged.insert((rel.clone(), call.line, "direct"))
-                    {
+                    if flagged.insert((rel.clone(), call.line, "direct")) {
                         out.push(diag(
                             &rel,
                             call.line,
                             "R7",
-                            format!(
-                                "blocking `.{}(` while holding lock `{}` (acquired line {})",
-                                call.name, a.id, a.line
-                            ),
+                            format!("blocking `.{}(` while holding lock `{}`", call.name, a.id),
                         ));
                     }
                     continue;
@@ -530,10 +567,9 @@ fn check_r7(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                             "R7",
                             format!(
                                 "`{}` can block on a channel and is called while lock `{}` \
-                                 is held (acquired line {})",
+                                 is held",
                                 ws.display_name(g),
-                                a.id,
-                                a.line
+                                a.id
                             ),
                         ));
                     }
@@ -556,9 +592,9 @@ fn check_r7(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                                 b.line,
                                 "R7",
                                 format!(
-                                    "`{}` re-acquired while already held (line {}) — \
+                                    "`{}` re-acquired while already held — \
                                      parking_lot locks are not re-entrant",
-                                    a.id, a.line
+                                    a.id
                                 ),
                             ));
                         }

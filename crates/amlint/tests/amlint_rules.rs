@@ -1,6 +1,9 @@
-//! Fixture suite for the amlint rules: one known-bad snippet per rule
-//! (R1–R5) asserting the exact rule ID and line that fires, plus a
-//! suppressed variant per rule asserting silence.
+//! Fixture suite for the single-file amlint contracts: one known-bad
+//! snippet per contract asserting the exact rule ID and line that
+//! fires, plus a suppressed variant asserting silence. R2 and R3 are
+//! per-file rules; the hot-path-module panic scan (R8) and the
+//! lock-across-send check (R7) are cross-file rules whose fixtures
+//! here need no second file.
 //!
 //! These fixtures double as the rule catalog's executable examples —
 //! if a rule's trigger conditions change, this file is where the
@@ -29,10 +32,10 @@ fn assert_silent(rel: &str, src: &str) -> usize {
     diags.iter().filter(|d| d.suppressed).count()
 }
 
-// ---------------------------------------------------------------- R1
+// ------------------------------------------------- R8, hot-path module
 
 #[test]
-fn r1_unwrap_in_hot_path_fires_with_line() {
+fn r8_unwrap_in_hot_path_module_fires_with_line() {
     let src = "\
 fn scale(xs: &[f64]) -> f64 {
     let first = xs.first().unwrap();
@@ -40,15 +43,15 @@ fn scale(xs: &[f64]) -> f64 {
 }
 ";
     let (rule, line) = sole_finding("crates/ml/src/scaler.rs", src);
-    assert_eq!(rule, "R1");
+    assert_eq!(rule, "R8");
     assert_eq!(line, 2);
 }
 
 #[test]
-fn r1_suppressed_unwrap_is_silent() {
+fn r8_suppressed_unwrap_in_hot_path_module_is_silent() {
     let src = "\
 fn scale(xs: &[f64]) -> f64 {
-    // amlint: allow(R1) -- caller guarantees non-empty, measured hot loop
+    // amlint: allow(R8) -- caller guarantees non-empty, measured hot loop
     let first = xs.first().unwrap();
     *first
 }
@@ -57,9 +60,40 @@ fn scale(xs: &[f64]) -> f64 {
 }
 
 #[test]
-fn r1_is_scoped_to_hot_path_modules() {
+fn r8_unreachable_in_hot_path_module_fires_without_a_hot_root() {
+    let src = "\
+fn last_layer(n: usize) -> usize {
+    match n {
+        0 => unreachable!(\"network has at least one layer\"),
+        n => n - 1,
+    }
+}
+";
+    let (rule, line) = sole_finding("crates/ml/src/mlp.rs", src);
+    assert_eq!(rule, "R8");
+    assert_eq!(line, 3);
+}
+
+#[test]
+fn r8_catches_panic_macros_but_not_lookalikes() {
+    let src = "\
+fn f(v: Option<u32>) -> u32 {
+    panic!(\"x\");
+    todo!();
+    std::panic::catch_unwind(|| {});
+    v.unwrap_or(0)
+}
+";
+    let diags = lint_source("crates/ml/src/tree.rs", src);
+    let found: Vec<_> = diags.iter().map(|d| (d.rule, d.line)).collect();
+    assert_eq!(found, [("R8", 2), ("R8", 3)], "{diags:#?}");
+}
+
+#[test]
+fn r8_module_scan_is_scoped_to_hot_path_modules() {
     let src = "fn f(xs: &[f64]) -> f64 { *xs.first().unwrap() }";
-    // Same code outside the hot path: not R1's business.
+    // Same code outside the hot path and off every hot root: not R8's
+    // business.
     assert_silent("crates/sim/src/engine.rs", src);
     assert_silent("crates/cli/src/commands.rs", src);
 }
@@ -140,10 +174,10 @@ fn is_sentinel(rate: f64) -> bool {
     assert_eq!(assert_silent("crates/features/src/stats.rs", src), 1);
 }
 
-// ---------------------------------------------------------------- R4
+// -------------------------------------------- R7, lock across a send
 
 #[test]
-fn r4_send_under_live_guard_fires_with_line() {
+fn r7_send_under_live_guard_fires_with_line() {
     let src = "\
 fn forward(&self) {
     let guard = self.cursor.lock();
@@ -151,12 +185,12 @@ fn forward(&self) {
 }
 ";
     let (rule, line) = sole_finding("crates/core/src/runtime.rs", src);
-    assert_eq!(rule, "R4");
+    assert_eq!(rule, "R7");
     assert_eq!(line, 3);
 }
 
 #[test]
-fn r4_dropping_the_guard_first_is_silent() {
+fn r7_dropping_the_guard_first_is_silent() {
     let src = "\
 fn forward(&self) {
     let guard = self.cursor.lock();
@@ -169,59 +203,25 @@ fn forward(&self) {
 }
 
 #[test]
-fn r4_suppression_silences() {
+fn r7_temporary_guard_dies_at_statement_end() {
+    let src = "\
+fn forward(&self) {
+    *self.cursor.lock() = 5;
+    self.tx.send(1);
+}
+";
+    assert_silent("crates/core/src/runtime.rs", src);
+}
+
+#[test]
+fn r7_suppression_silences() {
     let src = "\
 fn forward(&self) {
     let guard = self.cursor.lock();
-    self.tx.send(*guard); // amlint: allow(R4) -- unbounded channel, send never blocks
+    self.tx.send(*guard); // amlint: allow(R7) -- unbounded channel, send never blocks
 }
 ";
     assert_eq!(assert_silent("crates/core/src/runtime.rs", src), 1);
-}
-
-// ---------------------------------------------------------------- R5
-
-#[test]
-fn r5_unsafe_outside_shims_fires_with_line() {
-    let src = "\
-fn fast(xs: &[f64]) -> f64 {
-    unsafe { *xs.get_unchecked(0) }
-}
-";
-    let (rule, line) = sole_finding("crates/net/src/packet.rs", src);
-    assert_eq!(rule, "R5");
-    assert_eq!(line, 2);
-}
-
-#[test]
-fn r5_shim_unsafe_needs_safety_comment() {
-    let bare = "\
-fn grow(ptr: *mut u8) {
-    unsafe { dealloc(ptr) }
-}
-";
-    let (rule, line) = sole_finding("shims/bytes/src/lib.rs", bare);
-    assert_eq!(rule, "R5");
-    assert_eq!(line, 2);
-
-    let blessed = "\
-fn grow(ptr: *mut u8) {
-    // SAFETY: ptr was produced by alloc with the same layout above.
-    unsafe { dealloc(ptr) }
-}
-";
-    assert_silent("shims/bytes/src/lib.rs", blessed);
-}
-
-#[test]
-fn r5_suppression_silences() {
-    let src = "\
-fn fast(xs: &[f64]) -> f64 {
-    // amlint: allow(R5) -- transmute-free read, bounds proven by caller
-    unsafe { *xs.get_unchecked(0) }
-}
-";
-    assert_eq!(assert_silent("crates/net/src/packet.rs", src), 1);
 }
 
 // ------------------------------------------------------- cross-rule
@@ -250,7 +250,7 @@ mod tests {
 fn suppression_does_not_leak_to_other_lines() {
     let src = "\
 fn f(xs: &[f64]) -> f64 {
-    // amlint: allow(R1) -- covers only the next line
+    // amlint: allow(R8) -- covers only the next line
     let a = xs.first().unwrap();
     let b = xs.last().unwrap();
     *a + *b

@@ -1,5 +1,5 @@
 //! Fixture suite for the cross-file rules (R6–R9) and the call-graph
-//! machinery behind them, mirroring `amlint_rules.rs` for R1–R5: one
+//! machinery behind them, mirroring `amlint_rules.rs`: one
 //! known-bad snippet per trigger asserting the exact rule and line,
 //! one escape-hatch variant per rule asserting silence, plus the
 //! resolver-precision cases that keep the graph from over-linking.
@@ -8,7 +8,7 @@
 //! a deliberately introduced hot-path `Vec::push`, an unbounded
 //! channel, and an unchecked narrowing cast must each fail.
 
-use amlint::{analyze, lint_files, Report, SourceFile, EXPECTED_HOT_ROOTS, SCHEMA_VERSION};
+use amlint::{analyze, lint_files, Report, SourceFile, SCHEMA_VERSION};
 
 /// The one (rule, file, line) triple of live findings in a fixture set.
 fn sole_finding(files: &[(&str, &str)]) -> (String, String, u32) {
@@ -137,7 +137,7 @@ pub fn ingest(out: &mut Vec<u64>, v: u64) {
 // ---------------------------------------------------------------- R8
 
 #[test]
-fn r8_unwrap_fires_across_files_outside_r1_scope() {
+fn r8_unwrap_fires_across_files_outside_the_hot_path_modules() {
     let root = "\
 // amlint: hot
 pub fn pump(frames: &[u8]) -> u32 {
@@ -447,47 +447,73 @@ impl Conn {
 
 // ------------------------------------------------- schema & drift gate
 
-#[test]
-fn report_json_is_schema_v2_with_hot_roots() {
-    assert_eq!(SCHEMA_VERSION, 2);
-    let files = vec![SourceFile::new(
-        "crates/net/src/fastpath.rs".to_string(),
-        "// amlint: hot\npub fn ingest(v: u64) -> u64 {\n    v + 1\n}\n",
-    )];
-    let (diagnostics, hot_roots) = analyze(&files);
-    assert_eq!(
-        hot_roots,
-        vec!["crates/net/src/fastpath.rs::ingest".to_string()]
-    );
-    let report = Report {
+/// The JSON report of a fixture set, as `amlint --format json` renders
+/// it.
+fn report_json(files: &[(&str, &str)]) -> String {
+    let sources: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, src)| SourceFile::new(rel.to_string(), src))
+        .collect();
+    let (diagnostics, hot_roots) = analyze(&sources);
+    Report {
         diagnostics,
-        files_scanned: files.len(),
+        files_scanned: sources.len(),
         hot_roots,
-    };
-    let json = report.to_json();
+    }
+    .to_json()
+}
+
+#[test]
+fn report_json_is_schema_v3_with_hot_roots_and_no_lines() {
+    assert_eq!(SCHEMA_VERSION, 3);
+    let json = report_json(&[(
+        "crates/net/src/fastpath.rs",
+        "// amlint: hot\npub fn ingest(out: &mut Vec<u64>, v: u64) {\n    out.push(v);\n}\n",
+    )]);
     assert!(
-        json.starts_with("{\n  \"version\": 2,"),
+        json.starts_with("{\n  \"version\": 3,"),
         "version leads the document"
     );
     assert!(json.contains("\"hot_roots\": ["));
     assert!(json.contains("\"crates/net/src/fastpath.rs::ingest\""));
+    assert!(json.contains("\"rule\": \"R6\""), "{json}");
+    assert!(!json.contains("\"line\""), "{json}");
     assert!(json.ends_with("}\n"));
 }
 
 #[test]
-fn expected_hot_roots_floor_is_well_formed() {
-    assert!(
-        EXPECTED_HOT_ROOTS.len() >= 10,
-        "the drift-gate floor must not shrink"
+fn moving_a_blessed_site_leaves_the_report_unchanged() {
+    let src = "\
+// amlint: hot
+pub fn ingest(out: &mut Vec<u64>, v: u64) -> u64 {
+    // amlint: cold -- pooled batch buffer, reused across calls
+    out.push(v);
+    // amlint: cold -- the caller sized the buffer above the batch
+    out.push(v + 1);
+    v
+}
+";
+    let moved = "\
+// amlint: hot
+pub fn ingest(out: &mut Vec<u64>, v: u64) -> u64 {
+
+
+    // amlint: cold -- the caller sized the buffer above the batch
+    out.push(v + 1);
+
+    // amlint: cold -- pooled batch buffer, reused across calls
+    out.push(v);
+    v
+}
+";
+    let rel = "crates/net/src/fastpath.rs";
+    let before = report_json(&[(rel, src)]);
+    assert_eq!(
+        before.matches("\"suppressed\": true").count(),
+        2,
+        "{before}"
     );
-    for root in EXPECTED_HOT_ROOTS {
-        let (file, func) = root.split_once("::").expect("file::fn format");
-        assert!(
-            file.starts_with("crates/") && file.ends_with(".rs"),
-            "{root}"
-        );
-        assert!(!func.is_empty(), "{root}");
-    }
+    assert_eq!(report_json(&[(rel, moved)]), before);
 }
 
 // -------------------------------------------- acceptance contract

@@ -7,9 +7,6 @@
 //! studies, quality gates and the detection microbenchmark. See DESIGN.md
 //! §4 for the experiment index and EXPERIMENTS.md for recorded results.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod capture;
 pub mod figures;
 pub mod tables;

@@ -162,10 +162,10 @@ fn prefilter_mode(args: &Args) -> Result<PrefilterMode, CliError> {
     })
 }
 
-/// The load-time model gate: schema version, feature width, and feature
-/// set must all match the requested telemetry backend before any event
-/// is scored — stale or mismatched artifacts fail loudly, not with
-/// silent mispredictions.
+/// The load-time model gate: schema version, feature width, feature set
+/// and every member's shape must all fit the requested telemetry backend
+/// before any event is scored — stale, mismatched or damaged artifacts
+/// fail loudly, not with a stage-thread panic or silent mispredictions.
 fn validate_bundle(bundle: &ModelBundle, backend: TelemetryBackend) -> Result<(), CliError> {
     bundle.validate_for(backend.feature_set()).map_err(|e| {
         CliError::Usage(format!(
@@ -817,6 +817,36 @@ mod tests {
         assert!(matches!(err, CliError::Usage(_)), "{err}");
         assert!(err.to_string().contains("tree 0 node"), "{err}");
         assert!(err.to_string().contains("probability 7"), "{err}");
+
+        std::fs::remove_file(&cap).ok();
+        std::fs::remove_file(&bun).ok();
+    }
+
+    #[test]
+    fn detect_refuses_an_mlp_without_layers_naming_the_member() {
+        let cap = tmp("mlp-cap.json");
+        let bun = tmp("mlp-bun.json");
+        let cap_s = cap.to_str().unwrap();
+        let bun_s = bun.to_str().unwrap();
+        run_tokens(&["capture", "--out", cap_s, "--day-len", "1", "--seed", "7"]).unwrap();
+        run_tokens(&["train", "--capture", cap_s, "--out", bun_s, "--fast"]).unwrap();
+
+        // Hand-edit `"layers": [...]` to `[]`: the bundle still loads,
+        // and used to panic in the forward pass (the prediction thread,
+        // under --threaded).
+        let json = std::fs::read_to_string(&bun).unwrap();
+        let at = json.find("\"mlp\":{\"layers\":").unwrap() + "\"mlp\":{\"layers\":".len();
+        let end = at + json[at..].find(",\"config\":{\"hidden\"").unwrap();
+        std::fs::write(&bun, format!("{}[]{}", &json[..at], &json[end..])).unwrap();
+        for threaded in [false, true] {
+            let mut tokens = vec!["detect", "--capture", cap_s, "--bundle", bun_s];
+            if threaded {
+                tokens.push("--threaded");
+            }
+            let err = run_tokens(&tokens).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "{err}");
+            assert!(err.to_string().contains("the MLP has no layers"), "{err}");
+        }
 
         std::fs::remove_file(&cap).ok();
         std::fs::remove_file(&bun).ok();

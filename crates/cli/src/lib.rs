@@ -5,9 +5,6 @@
 //! capture files, and the four subcommands (`capture`, `train`,
 //! `detect`, `microburst`).
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod args;
 pub mod commands;
 

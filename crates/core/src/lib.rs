@@ -34,9 +34,6 @@
 //! reproducible), and [`runtime::ThreadedPipeline`] runs the four modules
 //! as real threads over crossbeam channels.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod db;
 pub mod drift;
 pub mod epoch;

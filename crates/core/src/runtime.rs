@@ -209,7 +209,7 @@ pub struct AdaptStats {
 /// so the pipeline's output cannot be trusted. The always-on deployment
 /// treats this as "restart the detector", not "crash the collector
 /// host" — which is why [`RunHandle::join`] returns it instead of
-/// propagating the panic (amlint rule R1).
+/// propagating the panic (amlint rule R8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeError {
     /// Which Fig. 2 module died.

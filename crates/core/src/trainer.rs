@@ -291,14 +291,23 @@ impl ModelBundle {
     /// is the load-time gate that turns "stale artifact" into a usage
     /// error instead of silent mispredictions.
     ///
-    /// A forest leaf that is not a probability in [0, 1] is rejected
-    /// here too: [`RandomForest::decide_batch`]'s early exit is exact
-    /// only over valid leaves, and training never writes another kind.
+    /// Every member's shape is checked against that width too, because
+    /// a hand-edited or damaged member would otherwise panic in a stage
+    /// thread or silently mispredict: scaler and GNB coefficients one
+    /// per feature ([`StandardScaler::validate`],
+    /// [`GaussianNb::validate`]), an MLP that chains the row to one
+    /// output ([`Mlp::validate`]), and a forest whose splits stay inside
+    /// the row and the tree and whose leaves are probabilities in [0, 1]
+    /// ([`RandomForest::validate`]: [`RandomForest::decide_batch`]'s
+    /// early exit is exact only over valid leaves). Training never
+    /// writes any of these.
     pub fn validate_for(&self, set: FeatureSet) -> Result<(), MetaError> {
-        self.meta.validate(set.dim())?;
-        if let Some((tree, node, proba)) = self.forest.invalid_leaf() {
-            return Err(MetaError::ForestLeaf { tree, node, proba });
-        }
+        let dim = set.dim();
+        self.meta.validate(dim)?;
+        self.scaler.validate(dim)?;
+        self.gnb.validate(dim)?;
+        self.mlp.validate(dim)?;
+        self.forest.validate(dim)?;
         if self.feature_set != set {
             // Same width but a different projection would also
             // mispredict; the widths of Int (15) and Sflow (12) differ
@@ -691,6 +700,158 @@ mod tests {
         let intact = ModelBundle::load(&path).expect("load");
         std::fs::remove_file(&path).ok();
         assert!(intact.validate_for(FeatureSet::full()).is_ok());
+    }
+
+    /// A freshly trained bundle as the JSON value `save` writes.
+    fn trained_bundle_json() -> serde_json::Value {
+        let labeled = labeled_reports(40);
+        let raw = dataset_from_events(&labeled, FeatureSet::full());
+        let cfg = TrainerConfig {
+            mlp: MlpConfig {
+                epochs: 3,
+                ..MlpConfig::paper_mlp()
+            },
+            ..Default::default()
+        };
+        let bundle = train_bundle(&raw, FeatureSet::full(), &cfg);
+        assert!(bundle.validate_for(FeatureSet::full()).is_ok());
+        serde_json::to_value(&bundle)
+    }
+
+    /// Write a hand-edited bundle and load it back: it must still load
+    /// (the damage is in values, not in the JSON's shape) and then fail
+    /// validation with the returned error.
+    fn load_and_reject(tag: &str, json: &serde_json::Value) -> MetaError {
+        let path = std::env::temp_dir().join(format!(
+            "amlight-bundle-{tag}-test-{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, serde_json::to_string(json).expect("print")).expect("write");
+        let damaged = ModelBundle::load(&path).expect("still a well-formed bundle");
+        std::fs::remove_file(&path).ok();
+        damaged.validate_for(FeatureSet::full()).unwrap_err()
+    }
+
+    /// An object's field, for hand-editing.
+    fn field<'a>(v: &'a mut serde_json::Value, key: &str) -> &'a mut serde_json::Value {
+        match v {
+            serde_json::Value::Object(pairs) => {
+                &mut pairs
+                    .iter_mut()
+                    .find(|(k, _)| k == key)
+                    .unwrap_or_else(|| panic!("no field `{key}`"))
+                    .1
+            }
+            _ => panic!("`{key}` looked up in a non-object"),
+        }
+    }
+
+    fn array(v: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+        match v {
+            serde_json::Value::Array(a) => a,
+            _ => panic!("not an array"),
+        }
+    }
+
+    #[test]
+    fn a_bundle_with_a_short_scaler_loads_but_is_rejected() {
+        let mut json = trained_bundle_json();
+        for coefficients in ["means", "stds"] {
+            array(field(field(&mut json, "scaler"), coefficients)).truncate(3);
+        }
+        let err = load_and_reject("scaler", &json);
+        assert_eq!(
+            err,
+            MetaError::MemberWidth {
+                member: "scaler",
+                found: 3,
+                expected: 15
+            }
+        );
+        assert!(err.to_string().contains("scaler holds 3"), "{err}");
+    }
+
+    #[test]
+    fn a_bundle_with_short_gnb_gaussians_loads_but_is_rejected() {
+        let mut json = trained_bundle_json();
+        for coefficients in ["mean_pos", "var_pos", "mean_neg", "var_neg"] {
+            array(field(field(&mut json, "gnb"), coefficients)).truncate(3);
+        }
+        let err = load_and_reject("gnb", &json);
+        assert_eq!(
+            err,
+            MetaError::MemberWidth {
+                member: "GNB",
+                found: 3,
+                expected: 15
+            }
+        );
+    }
+
+    #[test]
+    fn a_bundle_with_a_misshapen_mlp_loads_but_is_rejected() {
+        let intact = trained_bundle_json();
+
+        let mut json = intact.clone();
+        array(field(field(&mut json, "mlp"), "layers")).clear();
+        let err = load_and_reject("mlp-empty", &json);
+        assert_eq!(
+            err,
+            MetaError::MlpLayer {
+                layer: 0,
+                layers: 0
+            }
+        );
+        assert!(err.to_string().contains("MLP has no layers"), "{err}");
+
+        // The output layer's weights cut to one: the batch pass would
+        // index past them.
+        let mut json = intact.clone();
+        let layers = array(field(field(&mut json, "mlp"), "layers"));
+        let last = layers.last_mut().expect("an output layer");
+        array(field(last, "w")).truncate(1);
+        let err = load_and_reject("mlp-weights", &json);
+        assert_eq!(
+            err,
+            MetaError::MlpLayer {
+                layer: 3,
+                layers: 4
+            }
+        );
+
+        // A hidden layer whose width no longer chains into the next one.
+        let mut json = intact;
+        let first = &mut array(field(field(&mut json, "mlp"), "layers"))[0];
+        *field(first, "n_in") = serde_json::Value::Int(14);
+        let err = load_and_reject("mlp-chain", &json);
+        assert_eq!(
+            err,
+            MetaError::MlpLayer {
+                layer: 0,
+                layers: 4
+            }
+        );
+    }
+
+    #[test]
+    fn a_bundle_with_a_split_outside_row_or_tree_loads_but_is_rejected() {
+        let intact = trained_bundle_json();
+        // The first tree's root splits (40 mixed rows always split once).
+        // A feature past the 15-wide row, a child pointing back at the
+        // root, and a child past the tree's nodes.
+        for (edit, value) in [("feature", 15), ("left", 0), ("left", 1_000_000)] {
+            let mut json = intact.clone();
+            let trees = array(field(field(&mut json, "forest"), "trees"));
+            let root = &mut array(field(&mut trees[0], "nodes"))[0];
+            *field(field(root, "Split"), edit) = serde_json::Value::Int(value);
+            let err = load_and_reject("forest", &json);
+            assert_eq!(
+                err,
+                MetaError::ForestSplit { tree: 0, node: 0 },
+                "{edit} = {value}"
+            );
+            assert!(err.to_string().contains("tree 0 node 0"), "{err}");
+        }
     }
 
     #[test]

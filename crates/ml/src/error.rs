@@ -1,6 +1,6 @@
 //! Typed errors for the ml crate.
 //!
-//! Hot-path kernels must not panic (amlint rule R1): APIs whose failure
+//! Hot-path kernels must not panic (amlint rule R8): APIs whose failure
 //! is a caller-visible condition — not a programming error — surface it
 //! through [`MlError`] instead.
 

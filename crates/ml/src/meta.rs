@@ -52,6 +52,26 @@ pub enum MetaError {
         node: usize,
         proba: f64,
     },
+    /// A forest split on a feature outside the row, or whose children
+    /// (`left` and `left + 1`) do not both lie after it in its tree
+    /// (node 0 of a tree with no nodes). Walking it would index out of
+    /// bounds or never reach a leaf.
+    ForestSplit { tree: usize, node: usize },
+    /// A member's per-feature coefficient array that is not one entry
+    /// per feature (`member` is `"scaler"` or `"GNB"`). Both zip their
+    /// arrays with the row, so a short one silently ignores the row's
+    /// tail.
+    MemberWidth {
+        member: &'static str,
+        found: usize,
+        expected: usize,
+    },
+    /// MLP layer `layer` (of `layers`) does not chain the feature row to
+    /// one output: its input width is not the previous layer's output
+    /// (the row's, for layer 0), `w` is not `n_in·n_out` long, `b` is not
+    /// `n_out` long, or it is the last layer and has other than one
+    /// unit. `layers == 0` is a network with no layers at all.
+    MlpLayer { layer: usize, layers: usize },
 }
 
 impl std::fmt::Display for MetaError {
@@ -71,11 +91,53 @@ impl std::fmt::Display for MetaError {
                 "forest tree {tree} node {node} holds leaf probability {proba}, \
                  outside [0, 1]; the bundle is damaged — retrain it"
             ),
+            MetaError::ForestSplit { tree, node } => write!(
+                f,
+                "forest tree {tree} node {node} splits on a feature outside the row or \
+                 points at children outside the tree; the bundle is damaged — retrain it"
+            ),
+            MetaError::MemberWidth {
+                member,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{member} holds {found} per-feature coefficients but the rows are \
+                 {expected} wide; the bundle is damaged — retrain it"
+            ),
+            MetaError::MlpLayer { layers: 0, .. } => {
+                write!(
+                    f,
+                    "the MLP has no layers; the bundle is damaged — retrain it"
+                )
+            }
+            MetaError::MlpLayer { layer, layers } => write!(
+                f,
+                "MLP layer {layer} of {layers} does not chain the feature row to one \
+                 output; the bundle is damaged — retrain it"
+            ),
         }
     }
 }
 
 impl std::error::Error for MetaError {}
+
+/// Reject the first of a member's per-feature `arrays` that is not
+/// `expected` long.
+pub(crate) fn check_widths(
+    member: &'static str,
+    arrays: &[&[f64]],
+    expected: usize,
+) -> Result<(), MetaError> {
+    match arrays.iter().find(|a| a.len() != expected) {
+        Some(a) => Err(MetaError::MemberWidth {
+            member,
+            found: a.len(),
+            expected,
+        }),
+        None => Ok(()),
+    }
+}
 
 impl BundleMeta {
     /// Metadata for a freshly (offline-)trained bundle: epoch 0, the

@@ -8,6 +8,7 @@
 //!   scikit-learn `MLPClassifier`).
 
 use crate::dataset::Dataset;
+use crate::meta::MetaError;
 use crate::model::BinaryClassifier;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -313,6 +314,30 @@ impl Mlp {
         }
     }
 
+    /// Reject a network that does not chain `n_features` inputs through
+    /// its layers to one output (see [`MetaError::MlpLayer`]): the
+    /// forward passes index weights by those widths, and read the
+    /// output layer's single unit.
+    pub fn validate(&self, n_features: usize) -> Result<(), MetaError> {
+        let layers = self.layers.len();
+        if layers == 0 {
+            return Err(MetaError::MlpLayer { layer: 0, layers });
+        }
+        let mut n_in = n_features;
+        for (layer, l) in self.layers.iter().enumerate() {
+            let n_out = if layer + 1 == layers { 1 } else { l.n_out };
+            if l.n_in != n_in
+                || l.n_out != n_out
+                || l.n_in.checked_mul(n_out) != Some(l.w.len())
+                || l.b.len() != n_out
+            {
+                return Err(MetaError::MlpLayer { layer, layers });
+            }
+            n_in = n_out;
+        }
+        Ok(())
+    }
+
     pub fn hidden_sizes(&self) -> Vec<usize> {
         self.config.hidden.clone()
     }
@@ -325,37 +350,44 @@ impl Mlp {
 }
 
 impl BinaryClassifier for Mlp {
+    /// An empty network (which [`Mlp::validate`] refuses) has no output
+    /// to score and returns NaN, which [`crate::decide`] reads as benign.
     fn predict_proba_one(&self, x: &[f64]) -> f64 {
-        let l = self.layers.len();
+        let Some((output, hidden)) = self.layers.split_last() else {
+            return f64::NAN;
+        };
         let mut a = x.to_vec();
         let mut z = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
+        for layer in hidden {
             layer.forward(&a, &mut z);
-            if li + 1 == l {
-                return sigmoid(z[0]);
-            }
             a.clear();
             a.extend(z.iter().map(|&v| relu(v)));
         }
-        unreachable!("network has at least one layer")
+        output.forward(&a, &mut z);
+        sigmoid(z[0])
     }
 
     /// Whole-batch forward pass: the batch is transposed once into
     /// feature-major columns, then every layer runs as one tiled,
     /// vectorizable matrix-matrix multiply instead of a matrix-vector
     /// product per row. Two ping-pong activation buffers are the only
-    /// allocations, amortized over the batch.
+    /// allocations, amortized over the batch. An empty network scores
+    /// every row NaN, as [`Mlp::predict_proba_one`] does.
     fn predict_proba_batch(&self, rows: &[f64], n_features: usize, out: &mut [f64]) {
         crate::model::check_batch_shape(rows, n_features, out.len());
         let n_rows = out.len();
         if n_rows == 0 {
             return;
         }
+        let Some((output, hidden)) = self.layers.split_last() else {
+            out.fill(f64::NAN);
+            return;
+        };
         assert_eq!(
-            n_features, self.layers[0].n_in,
+            n_features,
+            hidden.first().unwrap_or(output).n_in,
             "feature width does not match the input layer"
         );
-        let l = self.layers.len();
         // Transpose row-major input into feature-major columns.
         let mut a = vec![0.0; rows.len()];
         for (r, row) in rows.chunks_exact(n_features).enumerate() {
@@ -364,21 +396,18 @@ impl BinaryClassifier for Mlp {
             }
         }
         let mut z: Vec<f64> = Vec::new();
-        for (li, layer) in self.layers.iter().enumerate() {
+        for layer in hidden {
             layer.forward_batch(&a, n_rows, &mut z);
-            if li + 1 == l {
-                // The output layer has one unit: z is one logit per row.
-                for (o, &v) in out.iter_mut().zip(&z) {
-                    *o = sigmoid(v);
-                }
-                return;
-            }
             for v in z.iter_mut() {
                 *v = relu(*v);
             }
             std::mem::swap(&mut a, &mut z);
         }
-        unreachable!("network has at least one layer")
+        output.forward_batch(&a, n_rows, &mut z);
+        // The output layer has one unit: z is one logit per row.
+        for (o, &v) in out.iter_mut().zip(&z) {
+            *o = sigmoid(v);
+        }
     }
 
     fn name(&self) -> &'static str {

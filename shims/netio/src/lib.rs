@@ -2,7 +2,8 @@
 //! listener groups and `recvmmsg`/`sendmmsg` syscall batching.
 //!
 //! This crate lives under `shims/` for the same reason `stats_alloc`
-//! does: project rule R5 confines `unsafe` to the shim layer, and
+//! does: every other package forbids `unsafe` (the workspace's
+//! `unsafe_code = "forbid"` lint), confining it to the shim layer, and
 //! everything here that goes beyond what `std::net` exposes — binding N
 //! sockets to one port so the kernel's flow hash spreads datagrams
 //! across per-core listeners, and draining a socket in one syscall per

@@ -19,9 +19,6 @@
 //! assert!(!reports.is_empty());
 //! ```
 
-// Compiler-enforced arm of amlint rule R5: unsafe stays in shims/.
-#![forbid(unsafe_code)]
-
 pub use amlight_core as core;
 pub use amlight_features as features;
 pub use amlight_ingest as ingest;
