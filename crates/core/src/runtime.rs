@@ -1200,18 +1200,55 @@ mod tests {
         }
     }
 
+    /// A [`ChannelSource`] that signals once collection has taken
+    /// `signal_at` events: on the poll after the one that handed over the
+    /// last of them, so collection has already counted them in flight.
+    struct SignallingSource {
+        inner: ChannelSource,
+        handed: usize,
+        signal_at: usize,
+        taken: Option<std::sync::mpsc::Sender<()>>,
+    }
+
+    impl EventSource for SignallingSource {
+        fn poll_event(&mut self) -> crate::source::SourcePoll {
+            unreachable!("the runtime polls batches")
+        }
+
+        fn poll_batch(&mut self, out: &mut Vec<LabeledEvent>, max: usize) -> BatchPoll {
+            if self.handed >= self.signal_at {
+                if let Some(taken) = self.taken.take() {
+                    let _ = taken.send(());
+                }
+            }
+            let before = out.len();
+            let poll = self.inner.poll_batch(out, max);
+            self.handed += out.len() - before;
+            poll
+        }
+    }
+
     #[test]
     fn channel_source_lifecycle_drain_then_join() {
         let pipe = ThreadedPipeline::new(bundle()).with_shards(2);
         let reports: Vec<TelemetryReport> = capture(60).into_iter().map(|(r, _)| r).collect();
         let n = reports.len() as u64;
-        let (tx, source) = ChannelSource::bounded(64);
-        let handle = pipe.start(source);
-
         let (first, rest) = reports.split_at(reports.len() / 2);
+        let (tx, inner) = ChannelSource::bounded(64);
+        let (taken_tx, taken_rx) = std::sync::mpsc::channel();
+        let handle = pipe.start(SignallingSource {
+            inner,
+            handed: 0,
+            signal_at: first.len(),
+            taken: Some(taken_tx),
+        });
+
         for r in first {
             tx.send(r.clone().into()).expect("pipeline is live");
         }
+        // drain() waits only for what collection has taken, so wait for
+        // collection to take the first half before draining it.
+        taken_rx.recv().expect("collection took the first half");
         handle.drain();
         let mid = pipe.database().prediction_count();
         assert!(mid > 0, "drained pipeline must have stored verdicts");

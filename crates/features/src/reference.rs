@@ -84,13 +84,7 @@ impl HashFlowTable {
             self.updated += 1;
             rec.update_seq += 1;
         }
-        rec.observe(
-            now_ns,
-            update.len,
-            update.stamp32,
-            update.observed_ns,
-            update.queue_occupancy,
-        );
+        rec.observe(update);
         (kind, &*rec)
     }
 

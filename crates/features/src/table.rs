@@ -85,10 +85,11 @@ impl Moments {
 
 /// Per-flow state: latest packet-level fields plus streaming aggregates.
 ///
-/// Under a spoofed flood every packet is a new Flow ID, so this record's
-/// size is what an attacker spends collector memory with. It keeps only
-/// what [`FlowRecord::features`], triage and eviction read — 144 B, a
-/// ceiling checked at compile time:
+/// It keeps only what [`FlowRecord::features`], triage and eviction read —
+/// 144 B, a ceiling checked at compile time. A spoofed packet no longer
+/// pays for one: [`FlowTable`] keeps a flow seen once as its first
+/// packet's 48 B and builds this record when a second packet arrives
+/// (DESIGN §10 has the per-flow bytes of both tiers).
 ///
 /// | group | fields | bytes |
 /// |---|---|---|
@@ -163,19 +164,20 @@ impl FlowRecord {
     /// One telemetry observation: derive the inter-arrival time from the
     /// record's clock state, remember the new clocks, fold the packet
     /// into the aggregates. This is the *entire* per-event record update,
-    /// shared by the slab table and the reference hashmap table
-    /// ([`crate::reference::HashFlowTable`]) so their records are
+    /// shared by both tiers of the flow table and the reference hashmap
+    /// table ([`crate::reference::HashFlowTable`]) so their records are
     /// bit-identical by construction. The caller has already bumped
     /// `update_seq` for an existing record, so this packet is number
     /// `update_seq + 1`.
-    pub(crate) fn observe(
-        &mut self,
-        now_ns: u64,
-        len: u16,
-        stamp32: Option<u32>,
-        observed_ns: Option<u64>,
-        qocc: Option<u32>,
-    ) {
+    pub(crate) fn observe(&mut self, update: &FlowUpdate) {
+        let FlowUpdate {
+            now_ns,
+            len,
+            stamp32,
+            observed_ns,
+            queue_occupancy: qocc,
+            ..
+        } = *update;
         // Inter-arrival: INT path uses wrapped 32-bit stamps; sFlow path
         // uses the full-width agent clock. sFlow samples can arrive out
         // of order (UDP transport, multiple agents), so the full-width
@@ -272,30 +274,140 @@ impl Default for FlowTableConfig {
     }
 }
 
-/// Sentinel for an unoccupied bucket in the open-addressing index.
-const EMPTY: u32 = u32::MAX;
+/// A flow seen once: its key and its first update's fields, which is
+/// everything [`FlowRecord::new`] and [`FlowRecord::observe`] read, so
+/// [`FirstPacket::to_record`] rebuilds the record bit for bit. 48 B against
+/// the record's 144: under a spoofed flood nearly every live flow is one.
+#[derive(Debug, Clone, Copy)]
+struct FirstPacket {
+    now_ns: u64,
+    observed_ns: u64,
+    key: FlowKey,
+    len: u16,
+    stamp32: u32,
+    queue_occupancy: u32,
+    /// The key's index hash: a nursery entry that moves is re-pointed
+    /// without rehashing its key.
+    hash: u32,
+    /// Which optional fields the update carried: [`HAS_STAMP32`],
+    /// [`HAS_OBSERVED`], [`HAS_QUEUE`].
+    present: u8,
+}
 
-/// Buckets allocated on the first insert (power of two).
-const INITIAL_BUCKETS: usize = 16;
+const _: () = assert!(size_of::<FirstPacket>() <= 48);
 
-/// Slab (and hash array) entries reserved on the first insert. At 144 B
-/// a record, 1 024 of them are past glibc's default 128 KiB mmap
-/// threshold, so the slab is its own mapping from the start instead of
-/// doubling up through small sizes that land in the inserting thread's
-/// malloc arena (measured on `bench_e2e` `day_triage`, seed 1: peak
-/// resident memory 123.7 MiB without the reservation, 85.6 with it).
+const HAS_STAMP32: u8 = 1;
+const HAS_OBSERVED: u8 = 2;
+const HAS_QUEUE: u8 = 4;
+
+impl FirstPacket {
+    fn new(update: &FlowUpdate, hash: u32) -> Self {
+        let flag = |set: bool, bit: u8| if set { bit } else { 0 };
+        Self {
+            now_ns: update.now_ns,
+            observed_ns: update.observed_ns.unwrap_or(0),
+            key: update.flow,
+            len: update.len,
+            stamp32: update.stamp32.unwrap_or(0),
+            queue_occupancy: update.queue_occupancy.unwrap_or(0),
+            hash,
+            present: flag(update.stamp32.is_some(), HAS_STAMP32)
+                | flag(update.observed_ns.is_some(), HAS_OBSERVED)
+                | flag(update.queue_occupancy.is_some(), HAS_QUEUE),
+        }
+    }
+
+    /// The update this entry was made from.
+    fn to_update(self) -> FlowUpdate {
+        let has = |bit: u8| self.present & bit != 0;
+        FlowUpdate {
+            flow: self.key,
+            now_ns: self.now_ns,
+            len: self.len,
+            stamp32: has(HAS_STAMP32).then_some(self.stamp32),
+            observed_ns: has(HAS_OBSERVED).then_some(self.observed_ns),
+            queue_occupancy: has(HAS_QUEUE).then_some(self.queue_occupancy),
+        }
+    }
+
+    /// The record a one-tier table would hold for this flow.
+    fn to_record(self) -> FlowRecord {
+        let mut rec = FlowRecord::new(self.key);
+        rec.observe(&self.to_update());
+        rec
+    }
+}
+
+/// An index bucket is `hash << 32 | tier | slot`: the key's 32-bit hash,
+/// the tier bit ([`NURSERY`] or [`SLAB`]) and the entry's position in
+/// that tier — or `EMPTY`. (The one real entry equal to `EMPTY` would be
+/// nursery slot 2³¹ − 1, i.e. 96 GiB of nursery.)
+const EMPTY: u64 = u64::MAX;
+const SLAB: u64 = 0;
+const NURSERY: u64 = 1 << 31;
+const SLOT_MASK: u64 = NURSERY - 1;
+
+#[inline]
+fn bucket(hash: u32, tier: u64, slot: usize) -> u64 {
+    u64::from(hash) << 32 | tier | slot as u64
+}
+
+#[inline]
+fn slot_of(bucket: u64) -> usize {
+    (bucket & SLOT_MASK) as usize
+}
+
+#[inline]
+fn hash_of(bucket: u64) -> u32 {
+    (bucket >> 32) as u32
+}
+
+/// Buckets allocated on the first insert (power of two). At 8 B a bucket
+/// that is 128 KiB, the mmap threshold `bench_e2e` pins, so the index is
+/// its own mapping from the start instead of doubling up through the
+/// inserting thread's malloc arena (DESIGN §10 has the measurement).
+const INITIAL_BUCKETS: usize = 16_384;
+
+/// Slab entries reserved on the first promotion. At 144 B a record,
+/// 1 024 of them are past the mmap threshold, so the slab is its own
+/// mapping from the start instead of doubling up through small sizes
+/// that land in the inserting thread's malloc arena (measured on
+/// `bench_e2e` `day_triage`, seed 1: peak resident memory 123.7 MiB
+/// without the reservation, 85.6 with it).
 const INITIAL_SLOTS: usize = 1024;
 
-/// The flow table: a slab of records plus a compact open-addressing
-/// index keyed by the [`FlowKey`]'s FNV hash.
+/// Nursery entries reserved on the first insert: 192 KiB at 48 B, past
+/// the mmap threshold for the same reason.
+const INITIAL_NURSERY: usize = 4096;
+
+/// Bytes per flow the two tiers may reserve between them, times
+/// `max_flows` rounded up to a power of two: what the slab (144 B) and
+/// its per-slot hash (4 B) could reserve before the table had a nursery.
+const TIER_BUDGET_PER_FLOW: usize = 148;
+
+/// The flow table: two dense tiers behind one open-addressing index
+/// keyed by the [`FlowKey`]'s FNV hash.
 ///
-/// Records live contiguously in `slots` (feature extraction walks them
-/// cache-linearly); the `buckets` index maps hash → slot with linear
-/// probing. Removal is tombstone-free: the bucket cluster is repaired
-/// with backward-shift deletion and the slab hole is filled by
-/// `swap_remove`, so lookups never scan deleted entries and the table
-/// performs **zero allocations in steady state** — only index growth
-/// (amortized, on new-flow creation) touches the allocator.
+/// * The **nursery** holds flows seen once, as a `FirstPacket` (48 B).
+///   §III-3 never predicts a first packet, so a flow that never sends a
+///   second — every flow of a spoofed flood — never costs a record.
+/// * The **slab** holds a [`FlowRecord`] (144 B) for every flow with two
+///   or more packets. A flow moves there on its second packet, which
+///   replays `new`, `observe(first)`, `update_seq += 1`,
+///   `observe(second)`: the operations a one-tier table performs.
+///
+/// The `buckets` index maps hash → (tier, slot) with linear probing.
+/// Each bucket carries its key's hash, so a probe compares it before
+/// reading either tier, growth re-indexes without rehashing, and a
+/// promotion rewrites its bucket in place. Removal is tombstone-free:
+/// the bucket cluster is repaired with backward-shift deletion and the
+/// tier hole is filled by `swap_remove`, so lookups never scan deleted
+/// entries and the table performs **zero allocations in steady state**
+/// — only index and tier growth (amortized, on creation and promotion)
+/// touch the allocator. The two tiers share one byte budget
+/// (`TIER_BUDGET_PER_FLOW` × `max_flows` rounded up to a power of two):
+/// a tier that cannot double within it first makes the other give its
+/// spare capacity back.
 ///
 /// Semantics are bit-identical to the pre-slab `FnvHashMap` table; the
 /// equivalence oracle lives in [`crate::reference::HashFlowTable`].
@@ -321,16 +433,16 @@ const INITIAL_SLOTS: usize = 1024;
 pub struct FlowTable {
     cfg: FlowTableConfig,
     hasher: FnvBuildHasher,
-    /// Dense slab of live records.
+    /// Records of the flows seen two or more times.
     slots: Vec<FlowRecord>,
-    /// Low 32 bits of each slot's key hash, parallel to `slots`
-    /// (rehash-free index growth and cheap bucket repair). Only low bits
-    /// place a bucket and key equality decides a match, so the upper half
-    /// would only ever spare a rare key comparison.
-    hashes: Vec<u32>,
-    /// Open-addressing index: slot number or [`EMPTY`], linear probing,
-    /// power-of-two length.
-    buckets: Vec<u32>,
+    /// The flows seen once.
+    nursery: Vec<FirstPacket>,
+    /// Open-addressing index over both tiers (see [`bucket`]), linear
+    /// probing, power-of-two length.
+    buckets: Vec<u64>,
+    /// The record [`FlowTable::apply`] hands back for a flow it has just
+    /// created.
+    created_record: FlowRecord,
     created: u64,
     updated: u64,
     evicted: u64,
@@ -344,12 +456,14 @@ impl Default for FlowTable {
 
 impl FlowTable {
     pub fn new(cfg: FlowTableConfig) -> Self {
+        let nobody = std::net::Ipv4Addr::UNSPECIFIED;
         Self {
             cfg,
             hasher: FnvBuildHasher::default(),
             slots: Vec::new(),
-            hashes: Vec::new(),
+            nursery: Vec::new(),
             buckets: Vec::new(),
+            created_record: FlowRecord::new(FlowKey::new(nobody, nobody, 0, 0, Protocol::Tcp)),
             created: 0,
             updated: 0,
             evicted: 0,
@@ -357,11 +471,11 @@ impl FlowTable {
     }
 
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.slots.len() + self.nursery.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     pub fn created(&self) -> u64 {
@@ -376,13 +490,21 @@ impl FlowTable {
         self.evicted
     }
 
-    pub fn get(&self, key: &FlowKey) -> Option<&FlowRecord> {
-        let slot = self.find_slot(*key, self.key_hash(*key))?;
-        self.slots.get(slot)
+    /// The flow's record; a flow seen once gets it rebuilt from its first
+    /// packet.
+    pub fn get(&self, key: &FlowKey) -> Option<FlowRecord> {
+        let entry = *self.buckets.get(self.find(*key, self.key_hash(*key))?)?;
+        if entry & NURSERY == NURSERY {
+            self.nursery.get(slot_of(entry)).map(|f| f.to_record())
+        } else {
+            self.slots.get(slot_of(entry)).cloned()
+        }
     }
 
-    pub fn records(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.slots.iter()
+    /// Every live flow's record: the slab's, then the nursery's rebuilt.
+    pub fn records(&self) -> impl Iterator<Item = FlowRecord> + '_ {
+        let nursery = self.nursery.iter().map(|f| f.to_record());
+        self.slots.iter().cloned().chain(nursery)
     }
 
     /// Apply one normalized telemetry observation — the single update
@@ -391,64 +513,67 @@ impl FlowTable {
     /// observation time, or neither); queue aggregates update only when
     /// `queue_occupancy` is populated.
     // amlint: hot
-    // amlint: allow(R8) -- slot indices come from find_slot/insert_slot, in-bounds by construction
+    // amlint: allow(R8) -- bucket and slot indices come from find/promote, in-bounds by construction
     pub fn apply(&mut self, update: &FlowUpdate) -> (UpdateKind, &FlowRecord) {
-        let key = update.flow;
-        let now_ns = update.now_ns;
-        let hash = self.key_hash(key);
-        let (kind, slot) = match self.find_slot(key, hash) {
-            Some(slot) => {
-                self.updated += 1;
-                self.slots[slot].update_seq += 1;
-                (UpdateKind::Updated, slot)
+        let hash = self.key_hash(update.flow);
+        let Some(b) = self.find(update.flow, hash) else {
+            if self.len() >= self.cfg.max_flows {
+                self.evict_idle(update.now_ns);
             }
-            None => {
-                if self.slots.len() >= self.cfg.max_flows {
-                    self.evict_idle(now_ns);
-                }
-                self.created += 1;
-                (UpdateKind::Created, self.insert_slot(key, hash))
-            }
+            self.created += 1;
+            self.insert_first(update, hash);
+            return (UpdateKind::Created, &self.created_record);
         };
-        self.slots[slot].observe(
-            now_ns,
-            update.len,
-            update.stamp32,
-            update.observed_ns,
-            update.queue_occupancy,
-        );
-        (kind, &self.slots[slot])
+        self.updated += 1;
+        let entry = self.buckets[b];
+        let slot = if entry & NURSERY == NURSERY {
+            self.promote(b, slot_of(entry), update)
+        } else {
+            let rec = &mut self.slots[slot_of(entry)];
+            rec.update_seq += 1;
+            rec.observe(update);
+            slot_of(entry)
+        };
+        (UpdateKind::Updated, &self.slots[slot])
     }
 
-    /// Evict records idle past the timeout as of `now_ns`. Returns the
-    /// number evicted. If nothing is idle but the table is over capacity,
-    /// evicts the single longest-idle record (to guarantee progress).
-    // amlint: allow(R8) -- `i < slots.len()` loop bound; oldest index recorded by that loop
+    /// Evict records idle past the timeout as of `now_ns`, from both
+    /// tiers. Returns the number evicted. If nothing is idle but the
+    /// table is over capacity, evicts the single longest-idle flow (to
+    /// guarantee progress).
+    // amlint: allow(R8) -- `i < tier_len` loop bounds; the oldest index is recorded by those loops
     pub fn evict_idle(&mut self, now_ns: u64) -> usize {
         let deadline = now_ns.saturating_sub(self.cfg.idle_timeout_ns);
-        let before = self.slots.len();
-        // The first strictly-oldest survivor and its clock: the fallback
-        // victim. Its index is read only when the sweep removed nothing,
-        // and a sweep that removed nothing moved nothing.
-        let mut oldest: Option<(usize, u64)> = None;
-        let mut i = 0usize;
-        while i < self.slots.len() {
-            let seen = self.slots[i].last_seen_ns;
-            if seen < deadline {
-                // swap_remove refills slot i with the last record; do not
-                // advance, the replacement needs the same check.
-                self.remove_slot(i);
-            } else {
-                if oldest.is_none_or(|(_, t)| seen < t) {
-                    oldest = Some((i, seen));
+        let before = self.len();
+        // The first strictly-oldest survivor (slab before nursery) and
+        // its clock: the fallback victim. Its index is read only when the
+        // sweep removed nothing, and a sweep that removed nothing moved
+        // nothing.
+        let mut oldest: Option<(u64, usize, u64)> = None;
+        for tier in [SLAB, NURSERY] {
+            let mut i = 0usize;
+            while i < self.tier_len(tier) {
+                let seen = if tier == NURSERY {
+                    self.nursery[i].now_ns
+                } else {
+                    self.slots[i].last_seen_ns
+                };
+                if seen < deadline {
+                    // swap_remove refills slot i with the tier's last
+                    // entry; do not advance, it needs the same check.
+                    self.remove(tier, i);
+                } else {
+                    if oldest.is_none_or(|(_, _, t)| seen < t) {
+                        oldest = Some((tier, i, seen));
+                    }
+                    i += 1;
                 }
-                i += 1;
             }
         }
-        let mut evicted = before - self.slots.len();
-        if evicted == 0 && self.slots.len() >= self.cfg.max_flows {
-            if let Some((slot, _)) = oldest {
-                self.remove_slot(slot);
+        let mut evicted = before - self.len();
+        if evicted == 0 && self.len() >= self.cfg.max_flows {
+            if let Some((tier, slot, _)) = oldest {
+                self.remove(tier, slot);
                 evicted = 1;
             }
         }
@@ -458,15 +583,13 @@ impl FlowTable {
 
     /// Protocol histogram over live flows — cheap observability hook.
     pub fn protocol_split(&self) -> (usize, usize) {
-        let tcp = self
-            .slots
-            .iter()
-            .filter(|r| r.key.protocol == Protocol::Tcp)
-            .count();
-        (tcp, self.slots.len() - tcp)
+        let slab = self.slots.iter().map(|r| r.key.protocol);
+        let nursery = self.nursery.iter().map(|f| f.key.protocol);
+        let tcp = slab.chain(nursery).filter(|&p| p == Protocol::Tcp).count();
+        (tcp, self.len() - tcp)
     }
 
-    // ---- slab / index internals -------------------------------------
+    // ---- tiers / index internals ------------------------------------
 
     /// The key's FNV hash, truncated to the 32 bits the index keeps.
     #[inline]
@@ -474,92 +597,180 @@ impl FlowTable {
         self.hasher.hash_one(key) as u32
     }
 
-    /// Linear-probe lookup. The load factor is capped below 1 (see
-    /// [`FlowTable::insert_slot`]), so an empty bucket always terminates
-    /// the probe.
-    // amlint: allow(R8) -- buckets.len() is a power of two, probes masked; load < 1 terminates
     #[inline]
-    fn find_slot(&self, key: FlowKey, hash: u32) -> Option<usize> {
+    fn tier_len(&self, tier: u64) -> usize {
+        if tier == NURSERY {
+            self.nursery.len()
+        } else {
+            self.slots.len()
+        }
+    }
+
+    /// Linear-probe lookup: the bucket holding `key`. A bucket whose hash
+    /// differs is skipped without reading either tier. The load factor is
+    /// capped below 1 (see [`FlowTable::insert_first`]), so an empty
+    /// bucket always terminates the probe.
+    // amlint: allow(R8) -- buckets.len() is a power of two, probes masked; slots come from the index
+    #[inline]
+    fn find(&self, key: FlowKey, hash: u32) -> Option<usize> {
         if self.buckets.is_empty() {
             return None;
         }
         let mask = self.buckets.len() - 1;
-        let mut b = (hash as usize) & mask;
+        let mut b = hash as usize & mask;
         loop {
-            let s = self.buckets[b];
-            if s == EMPTY {
+            let e = self.buckets[b];
+            if e == EMPTY {
                 return None;
             }
-            let s = s as usize;
-            if self.hashes[s] == hash && self.slots[s].key == key {
-                return Some(s);
+            if hash_of(e) == hash {
+                let found = if e & NURSERY == NURSERY {
+                    self.nursery[slot_of(e)].key
+                } else {
+                    self.slots[slot_of(e)].key
+                };
+                if found == key {
+                    return Some(b);
+                }
             }
             b = (b + 1) & mask;
         }
     }
 
-    /// Append a fresh record to the slab and index it. Grows the bucket
-    /// array (outside steady state) to keep load ≤ 7/8.
-    // amlint: allow(R8) -- probes masked by power-of-two bucket len
-    fn insert_slot(&mut self, key: FlowKey, hash: u32) -> usize {
-        if (self.slots.len() + 1) * 8 > self.buckets.len() * 7 {
-            self.grow_buckets();
-        }
+    /// The first empty bucket on `hash`'s probe path.
+    // amlint: allow(R8) -- probes masked by the power-of-two bucket count; load < 1 terminates
+    #[inline]
+    fn vacant_bucket(&self, hash: u32) -> usize {
         let mask = self.buckets.len() - 1;
-        let mut b = (hash as usize) & mask;
+        let mut b = hash as usize & mask;
         while self.buckets[b] != EMPTY {
             b = (b + 1) & mask;
         }
+        b
+    }
+
+    /// The bucket holding `entry`, reachable from its hash by the
+    /// linear-probe invariant.
+    // amlint: allow(R8) -- probes masked by the power-of-two bucket count; the entry is indexed
+    fn bucket_holding(&self, entry: u64) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = hash_of(entry) as usize & mask;
+        while self.buckets[b] != entry {
+            b = (b + 1) & mask;
+        }
+        b
+    }
+
+    /// Index a new flow in the nursery and leave its record in
+    /// `created_record`. Grows the bucket array (outside steady state) to
+    /// keep load ≤ 7/8.
+    // amlint: allow(R8) -- vacant_bucket returns an in-bounds bucket
+    fn insert_first(&mut self, update: &FlowUpdate, hash: u32) {
+        if (self.len() + 1) * 8 > self.buckets.len() * 7 {
+            self.grow_buckets();
+        }
+        if self.nursery.len() == self.nursery.capacity() {
+            self.make_room(NURSERY);
+        }
+        let first = FirstPacket::new(update, hash);
+        let b = self.vacant_bucket(hash);
+        self.buckets[b] = bucket(hash, NURSERY, self.nursery.len());
+        self.nursery.push(first); // amlint: cold -- within reserved capacity, grown by make_room
+        self.created_record = first.to_record();
+    }
+
+    /// A nursery flow's second packet: move it out of the nursery, give
+    /// it the record a one-tier table would hold after this packet, and
+    /// re-point its bucket `b` at the new slab slot (the hash is the same).
+    // amlint: allow(R8) -- `n` is a nursery slot read from bucket `b`, in-bounds by construction
+    fn promote(&mut self, b: usize, n: usize, second: &FlowUpdate) -> usize {
+        let first = self.nursery[n];
+        self.detach(NURSERY, n);
+        let mut rec = first.to_record();
+        rec.update_seq += 1;
+        rec.observe(second);
+        if self.slots.len() == self.slots.capacity() {
+            self.make_room(SLAB);
+        }
         let slot = self.slots.len();
-        self.buckets[b] = slot as u32;
-        self.slots.push(FlowRecord::new(key)); // amlint: cold -- slab append, amortized
-        self.hashes.push(hash); // amlint: cold -- slab append, amortized
+        self.slots.push(rec); // amlint: cold -- within reserved capacity, grown by make_room
+        self.buckets[b] = bucket(first.hash, SLAB, slot);
         slot
     }
 
-    /// Double the bucket array and re-index every slot from its cached
-    /// hash (records are never touched). The first call, on the first
-    /// insert, also reserves `INITIAL_SLOTS` slab entries.
+    /// Double the bucket array and re-index every entry from the hash its
+    /// bucket carries (neither tier is touched).
     // amlint: cold -- bucket doubling happens outside steady state by definition
     fn grow_buckets(&mut self) {
-        if self.buckets.is_empty() {
-            self.slots.reserve_exact(INITIAL_SLOTS);
-            self.hashes.reserve_exact(INITIAL_SLOTS);
-        }
-        let new_cap = (self.buckets.len() * 2).max(INITIAL_BUCKETS);
-        self.buckets.clear();
-        self.buckets.resize(new_cap, EMPTY);
-        let mask = new_cap - 1;
-        for (slot, &h) in self.hashes.iter().enumerate() {
-            let mut b = (h as usize) & mask;
-            while self.buckets[b] != EMPTY {
-                b = (b + 1) & mask;
-            }
-            self.buckets[b] = slot as u32;
+        let len = (self.buckets.len() * 2).max(INITIAL_BUCKETS);
+        let old = std::mem::replace(&mut self.buckets, vec![EMPTY; len]);
+        for e in old.into_iter().filter(|&e| e != EMPTY) {
+            let b = self.vacant_bucket(hash_of(e));
+            self.buckets[b] = e;
         }
     }
 
-    /// Remove the record in `slot`: backward-shift the bucket cluster
-    /// (tombstone-free), then `swap_remove` the slab hole and re-point
-    /// the moved record's bucket. O(cluster length), no allocation.
-    // amlint: allow(R8) -- cluster walk stays within the masked bucket array; slab indices < len
-    fn remove_slot(&mut self, slot: usize) {
-        let mask = self.buckets.len() - 1;
-
-        // Locate the bucket holding `slot` (reachable from its hash by
-        // the linear-probe invariant).
-        let mut b = (self.hashes[slot] as usize) & mask;
-        while self.buckets[b] != slot as u32 {
-            b = (b + 1) & mask;
+    /// Make room for one more entry in a full tier: double it (the first
+    /// time, reserve its initial entries) within the budget both tiers
+    /// share. If doubling does not fit, the other tier gives its spare
+    /// capacity back and this one takes at most half of what is then
+    /// free, leaving the rest for the other tier's next growth. Live
+    /// entries need at most 144 B × `max_flows`, under the budget, so
+    /// one more entry always fits.
+    // amlint: cold -- tier growth, amortized over the entries it adds
+    fn make_room(&mut self, tier: u64) {
+        let budget = self
+            .cfg
+            .max_flows
+            .max(1)
+            .checked_next_power_of_two()
+            .map_or(usize::MAX, |p| p.saturating_mul(TIER_BUDGET_PER_FLOW));
+        let (len, size, initial) = if tier == NURSERY {
+            (
+                self.nursery.len(),
+                size_of::<FirstPacket>(),
+                INITIAL_NURSERY,
+            )
+        } else {
+            (self.slots.len(), size_of::<FlowRecord>(), INITIAL_SLOTS)
+        };
+        let want = len.max(initial);
+        let mut fits = budget.saturating_sub(self.tier_bytes()) / size;
+        if fits < want {
+            if tier == NURSERY {
+                self.slots.shrink_to_fit();
+            } else {
+                self.nursery.shrink_to_fit();
+            }
+            fits = (budget.saturating_sub(self.tier_bytes()) / size / 2).max(1);
         }
+        if tier == NURSERY {
+            self.nursery.reserve_exact(want.min(fits));
+        } else {
+            self.slots.reserve_exact(want.min(fits));
+        }
+    }
 
+    /// Bytes the two tiers hold reserved.
+    fn tier_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<FlowRecord>()
+            + self.nursery.capacity() * size_of::<FirstPacket>()
+    }
+
+    /// Remove the entry in `tier`'s `slot`: backward-shift the bucket
+    /// cluster (tombstone-free), then fill the tier's hole. O(cluster
+    /// length), no allocation. A slab record's key is rehashed to find
+    /// its bucket; eviction is the cold path.
+    // amlint: allow(R8) -- cluster walk stays within the masked bucket array; slot < tier len
+    fn remove(&mut self, tier: u64, slot: usize) {
+        let hash = self.hash_at(tier, slot);
+        let mask = self.buckets.len() - 1;
+        let mut gap = self.bucket_holding(bucket(hash, tier, slot));
         // Backward-shift deletion: close the gap by pulling cluster
         // entries whose probe path crosses it.
-        let mut gap = b;
         let mut j = (gap + 1) & mask;
         while self.buckets[j] != EMPTY {
-            let s = self.buckets[j] as usize;
-            let ideal = (self.hashes[s] as usize) & mask;
+            let ideal = hash_of(self.buckets[j]) as usize & mask;
             // The entry at j may fill the gap iff its probe walked
             // through the gap position, i.e. its displacement from the
             // ideal bucket reaches at least back to the gap.
@@ -570,17 +781,33 @@ impl FlowTable {
             j = (j + 1) & mask;
         }
         self.buckets[gap] = EMPTY;
+        self.detach(tier, slot);
+    }
 
-        // Fill the slab hole with the last record and fix its bucket.
-        let last = self.slots.len() - 1;
-        self.slots.swap_remove(slot);
-        self.hashes.swap_remove(slot);
+    /// `swap_remove` `slot` from `tier` and re-point the bucket of the
+    /// entry that moved into it. The caller owns `slot`'s own bucket.
+    // amlint: allow(R8) -- bucket_holding returns an in-bounds bucket; slot < tier len
+    fn detach(&mut self, tier: u64, slot: usize) {
+        let last = self.tier_len(tier) - 1;
+        if tier == NURSERY {
+            self.nursery.swap_remove(slot);
+        } else {
+            self.slots.swap_remove(slot);
+        }
         if slot != last {
-            let mut b = (self.hashes[slot] as usize) & mask;
-            while self.buckets[b] != last as u32 {
-                b = (b + 1) & mask;
-            }
-            self.buckets[b] = slot as u32;
+            let hash = self.hash_at(tier, slot);
+            let b = self.bucket_holding(bucket(hash, tier, last));
+            self.buckets[b] = bucket(hash, tier, slot);
+        }
+    }
+
+    /// The index hash of the entry in `tier`'s `slot`.
+    // amlint: allow(R8) -- callers pass slot < tier len
+    fn hash_at(&self, tier: u64, slot: usize) -> u32 {
+        if tier == NURSERY {
+            self.nursery[slot].hash
+        } else {
+            self.key_hash(self.slots[slot].key)
         }
     }
 }
@@ -588,7 +815,7 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector::FeatureId;
+    use crate::vector::{FeatureId, FeatureSet};
     use std::net::Ipv4Addr;
 
     fn key(port: u16) -> FlowKey {
@@ -718,37 +945,6 @@ mod tests {
         assert!((rec.last_inter_arrival_s - 0.002).abs() < 1e-12);
     }
 
-    #[test]
-    fn idle_eviction() {
-        let mut t = FlowTable::new(FlowTableConfig {
-            idle_timeout_ns: 1_000,
-            max_flows: 100,
-        });
-        t.apply(&report(1, 0, 0, 40, 0));
-        t.apply(&report(2, 1_500, 1_500, 40, 0));
-        let evicted = t.evict_idle(2_000);
-        assert_eq!(evicted, 1, "flow 1 idle past timeout");
-        assert!(t.get(&key(2)).is_some());
-        assert!(t.get(&key(1)).is_none());
-        assert_eq!(t.evicted(), 1);
-    }
-
-    #[test]
-    fn capacity_pressure_evicts_oldest() {
-        let mut t = FlowTable::new(FlowTableConfig {
-            idle_timeout_ns: u64::MAX / 2, // nothing times out
-            max_flows: 3,
-        });
-        for (i, ts) in [(1u16, 100u64), (2, 200), (3, 300)] {
-            t.apply(&report(i, ts, ts as u32, 40, 0));
-        }
-        // A fourth flow forces eviction of the oldest-idle (flow 1).
-        t.apply(&report(4, 400, 400, 40, 0));
-        assert_eq!(t.len(), 3);
-        assert!(t.get(&key(1)).is_none());
-        assert!(t.get(&key(4)).is_some());
-    }
-
     /// Regression: sFlow samples can arrive out of order (UDP transport,
     /// multiple agents). An older observation must saturate the IAT to
     /// zero, not underflow the u64 clock difference into a ~584-year
@@ -848,6 +1044,197 @@ mod tests {
             live = kept.to_vec();
         }
         assert_eq!(t.len(), live.len());
+    }
+
+    /// Every public field and feature column of a record, as bits.
+    fn bits(r: &FlowRecord) -> Vec<u64> {
+        let mut v = vec![
+            r.last_seen_ns,
+            r.update_seq,
+            u64::from(r.last_packet_len),
+            r.byte_count,
+            r.last_inter_arrival_s.to_bits(),
+            u64::from(r.last_queue_occ),
+        ];
+        v.extend(
+            r.features()
+                .project(FeatureSet::full())
+                .iter()
+                .map(|x| x.to_bits()),
+        );
+        v
+    }
+
+    #[test]
+    fn a_one_packet_flow_stays_in_the_nursery() {
+        let mut t = FlowTable::default();
+        for port in 1..=5 {
+            t.apply(&report(port, u64::from(port), u32::from(port), 40, 1));
+        }
+        assert!(t.slots.is_empty(), "no flow has a second packet");
+        assert_eq!((t.nursery.len(), t.len()), (5, 5));
+        let rec = t.get(&key(3)).expect("a nursery flow is found");
+        assert_eq!((rec.packet_count(), rec.last_seen_ns), (1, 3));
+        assert_eq!(t.records().count(), 5);
+        assert_eq!(t.protocol_split(), (5, 0));
+
+        t.apply(&report(3, 10, 10, 40, 1));
+        assert_eq!((t.slots.len(), t.nursery.len(), t.len()), (1, 4, 5));
+        assert_eq!(t.get(&key(3)).map(|r| r.packet_count()), Some(2));
+        for port in [1, 2, 4, 5] {
+            assert_eq!(t.get(&key(port)).map(|r| r.packet_count()), Some(1));
+        }
+    }
+
+    /// Creation hands back `new` + `observe(first)`, and promotion replays
+    /// `new`, `observe(first)`, `update_seq += 1`, `observe(second)` — bit
+    /// for bit, for each backend's update shape.
+    #[test]
+    fn promotion_matches_a_one_tier_replay() {
+        let pint = |now_ns: u64, len: u16| FlowUpdate {
+            flow: key(8),
+            now_ns,
+            len,
+            stamp32: None,
+            observed_ns: Some(now_ns),
+            queue_occupancy: None,
+        };
+        let shapes = [
+            (
+                "INT",
+                report(8, 1_000, u32::MAX - 99, 40, 7),
+                report(8, 9_000, 400, 1400, 2),
+            ),
+            (
+                "sFlow",
+                sample(key(8), 5_000_000, 500),
+                sample(key(8), 2_000_000, 700),
+            ),
+            ("PINT", pint(1_000, 64), pint(3_501_000, 1200)),
+        ];
+        for (name, first, second) in shapes {
+            let mut t = FlowTable::default();
+            // Neighbours on both tiers, so the moved entries get re-pointed.
+            for port in [20, 21, 22] {
+                t.apply(&report(port, 1, 1, 40, 0));
+            }
+            t.apply(&report(21, 2, 2, 40, 0));
+            let mut one_tier = FlowRecord::new(first.flow);
+            one_tier.observe(&first);
+            let (kind, created) = t.apply(&first);
+            assert_eq!(kind, UpdateKind::Created);
+            assert_eq!(bits(created), bits(&one_tier), "{name} first packet");
+            one_tier.update_seq += 1;
+            one_tier.observe(&second);
+            let (kind, promoted) = t.apply(&second);
+            assert_eq!(kind, UpdateKind::Updated);
+            assert_eq!(bits(promoted), bits(&one_tier), "{name} second packet");
+            let stored = t.get(&first.flow).expect("promoted flow is found");
+            assert_eq!(bits(&stored), bits(&one_tier), "{name} stored record");
+            for port in [20, 21, 22] {
+                assert!(t.get(&key(port)).is_some(), "{name}: lost {port}");
+            }
+        }
+    }
+
+    #[test]
+    fn idle_eviction() {
+        let mut t = FlowTable::new(FlowTableConfig {
+            idle_timeout_ns: 1_000,
+            max_flows: 100,
+        });
+        t.apply(&report(1, 0, 0, 40, 0)); // nursery, idle at 2 000
+        t.apply(&report(2, 100, 100, 40, 0));
+        t.apply(&report(2, 200, 200, 40, 0)); // slab, idle at 2 000
+        t.apply(&report(3, 1_500, 1_500, 40, 0)); // nursery, live
+        t.apply(&report(4, 1_400, 1_400, 40, 0));
+        t.apply(&report(4, 1_600, 1_600, 40, 0)); // slab, live
+        assert_eq!(t.evict_idle(2_000), 2);
+        assert_eq!((t.slots.len(), t.nursery.len()), (1, 1));
+        assert!(t.get(&key(1)).is_none() && t.get(&key(2)).is_none());
+        assert!(t.get(&key(3)).is_some() && t.get(&key(4)).is_some());
+    }
+
+    #[test]
+    fn capacity_pressure_evicts_oldest() {
+        let mut t = FlowTable::new(FlowTableConfig {
+            idle_timeout_ns: u64::MAX / 2, // nothing times out
+            max_flows: 3,
+        });
+        t.apply(&report(1, 100, 100, 40, 0)); // nursery, oldest
+        t.apply(&report(2, 150, 150, 40, 0));
+        t.apply(&report(2, 200, 200, 40, 0)); // slab
+        t.apply(&report(3, 300, 300, 40, 0)); // nursery
+        t.apply(&report(4, 400, 400, 40, 0));
+        assert!(t.get(&key(1)).is_none(), "the oldest nursery flow goes");
+        t.apply(&report(3, 450, 450, 40, 0)); // promoted
+        t.apply(&report(5, 500, 500, 40, 0));
+        assert!(t.get(&key(2)).is_none(), "then the oldest slab flow");
+        assert_eq!((t.slots.len(), t.nursery.len()), (1, 2));
+        assert_eq!(t.evicted(), 2);
+    }
+
+    /// Bytes the table holds reserved: both tiers and the index.
+    fn reserved(t: &FlowTable) -> usize {
+        t.tier_bytes() + t.buckets.capacity() * size_of::<u64>()
+    }
+
+    /// DESIGN §10's ceiling, at a `max_flows` whose tiers and index are
+    /// past their initial reservations: all-one-packet flows reserve at
+    /// most 64 B per flow (48 B nursery + 16 B index at 2 buckets a
+    /// flow), and any order of filling, promoting and evicting at most
+    /// 164 B (the 148 B tier budget + 16 B index) — per flow of
+    /// `max_flows` rounded up to a power of two. Filling the nursery and
+    /// then promoting every flow, then replacing the slab with a new
+    /// nursery, would hold both tiers at full size without the budget.
+    #[test]
+    fn tiers_and_index_stay_under_the_ceiling() {
+        const FLOWS: usize = 20_000;
+        let per_flow = FLOWS.next_power_of_two();
+        let mut t = FlowTable::new(FlowTableConfig {
+            idle_timeout_ns: 1_000_000_000,
+            max_flows: FLOWS,
+        });
+        let flow = |i: usize| {
+            let i = i as u32;
+            FlowKey::new(
+                Ipv4Addr::from(i),
+                Ipv4Addr::new(10, 0, 0, 2),
+                1,
+                80,
+                Protocol::Tcp,
+            )
+        };
+        let mut clock = 0u64;
+        let packet = |t: &mut FlowTable, clock: &mut u64, i: usize| {
+            *clock += 1;
+            t.apply(&FlowUpdate {
+                flow: flow(i),
+                ..report(1, *clock, *clock as u32, 40, 0)
+            });
+            assert!(
+                reserved(t) <= 164 * per_flow,
+                "{} B at {clock}",
+                reserved(t)
+            );
+        };
+        for round in 0..2 {
+            let first = round * FLOWS;
+            for i in first..first + FLOWS {
+                packet(&mut t, &mut clock, i);
+            }
+            assert_eq!(t.nursery.len(), FLOWS);
+            if round == 0 {
+                assert!(reserved(&t) <= 64 * per_flow, "{} B", reserved(&t));
+            }
+            for i in first..first + FLOWS {
+                packet(&mut t, &mut clock, i);
+            }
+            assert_eq!(t.slots.len(), FLOWS);
+            // The next round's first packet finds every flow idle.
+            clock += 2_000_000_000;
+        }
+        assert_eq!(t.evicted(), FLOWS as u64);
     }
 
     fn moments_of(xs: &[f64]) -> Moments {

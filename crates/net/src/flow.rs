@@ -130,9 +130,13 @@ impl fmt::Display for FlowKey {
 ///
 /// The flow table is keyed by [`FlowKey`]; SipHash (the std default) costs
 /// noticeably more per lookup for such short keys. FNV-1a is the classic
-/// fast-small-key choice and keeps the crate dependency-free. HashDoS is not
-/// a concern: keys come from our own simulator, not an adversary with
-/// visibility into the table.
+/// fast-small-key choice and keeps the crate dependency-free. It is
+/// unkeyed, which is an exposure: a live `detect --listen` daemon hashes
+/// 5-tuples the sender chooses into the flow table's linear-probing index
+/// and routes them to shards by the same hash. Anyone who knows FNV-1a can
+/// pick keys that share a bucket run or a shard (HashDoS), lengthening
+/// every probe or loading one processor. ROADMAP item 2 lists it open;
+/// replacing the hasher needs its own throughput measurement.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 

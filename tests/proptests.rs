@@ -178,6 +178,118 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
+/// Drive [`FlowTable`] and the hashmap reference through `ops` —
+/// `(op, key, len, stamp)`, op 0–3 an INT report, 4–5 an sFlow sample,
+/// 6 a PINT-shaped update (queue-less when `stamp` is odd), 7 an idle
+/// sweep — and require identical kinds, records, counters and final
+/// contents. The clock is strictly increasing, so every record's
+/// `last_seen_ns` is unique and the oldest-idle eviction fallback has one
+/// well-defined victim in both tables: the comparison is exact rather
+/// than modulo ties.
+fn matches_hashmap_reference(
+    cfg: FlowTableConfig,
+    universe: u16,
+    ops: &[(u8, u16, u16, u32)],
+) -> Result<(), String> {
+    use amlight::features::reference::HashFlowTable;
+    use amlight::sflow::FlowSample;
+
+    let mut table = FlowTable::new(cfg);
+    let mut reference = HashFlowTable::new(cfg);
+    let flow = |port: u16| {
+        FlowKey::new(
+            [10, 0, 0, 1].into(),
+            [10, 0, 0, 2].into(),
+            5000 + port,
+            443,
+            Protocol::Tcp,
+        )
+    };
+
+    for (i, &(op, k, len, stamp)) in ops.iter().enumerate() {
+        let now = (i as u64 + 1) * 10_000;
+        let update = match op {
+            0..=3 => TelemetryReport {
+                flow: flow(k),
+                ip_len: len,
+                tcp_flags: Some(0x02),
+                instructions: InstructionSet::amlight(),
+                hops: vec![HopMetadata {
+                    switch_id: 1,
+                    ingress_tstamp: stamp.wrapping_sub(400),
+                    egress_tstamp: stamp,
+                    hop_latency: 0,
+                    queue_occupancy: stamp % 32,
+                }]
+                .into(),
+                export_ns: now,
+            }
+            .flow_update(),
+            4..=5 => FlowSample {
+                flow: flow(k),
+                ip_len: len,
+                tcp_flags: Some(0x10),
+                observed_ns: now,
+                sampling_period: 4096,
+            }
+            .flow_update(),
+            6 => FlowUpdate {
+                flow: flow(k),
+                now_ns: now,
+                len,
+                stamp32: None,
+                observed_ns: Some(now),
+                queue_occupancy: (stamp % 2 == 0).then_some(stamp % 64),
+            },
+            _ => {
+                prop_assert_eq!(table.evict_idle(now), reference.evict_idle(now));
+                continue;
+            }
+        };
+        let (k1, r1) = table.apply(&update);
+        let (f1, seq1, seen1) = (r1.features(), r1.update_seq, r1.last_seen_ns);
+        let (k2, r2) = reference.apply(&update);
+        prop_assert_eq!(k1, k2);
+        prop_assert_eq!(seq1, r2.update_seq);
+        prop_assert_eq!(seen1, r2.last_seen_ns);
+        prop_assert_eq!(f1, r2.features());
+    }
+
+    prop_assert_eq!(table.len(), reference.len());
+    prop_assert_eq!(table.created(), reference.created());
+    prop_assert_eq!(table.updated(), reference.updated());
+    prop_assert_eq!(table.evicted(), reference.evicted());
+    for port in 0..universe {
+        match (table.get(&flow(port)), reference.get(&flow(port))) {
+            (Some(a), Some(b)) => {
+                prop_assert_eq!(a.features(), b.features());
+                prop_assert_eq!(a.packet_count(), b.packet_count());
+                prop_assert_eq!(a.last_seen_ns, b.last_seen_ns);
+            }
+            (None, None) => {}
+            (a, b) => prop_assert!(
+                false,
+                "presence diverged for port {}: table={} ref={}",
+                port,
+                a.is_some(),
+                b.is_some()
+            ),
+        }
+    }
+    let mut ours: Vec<(u64, u64)> = table
+        .records()
+        .map(|r| (r.last_seen_ns, r.packet_count()))
+        .collect();
+    let mut theirs: Vec<(u64, u64)> = reference
+        .records()
+        .map(|r| (r.last_seen_ns, r.packet_count()))
+        .collect();
+    ours.sort_unstable();
+    theirs.sort_unstable();
+    prop_assert_eq!(ours, theirs);
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn flow_key_bytes_roundtrip(key in arb_flow_key()) {
@@ -331,7 +443,7 @@ proptest! {
         }
         prop_assert_eq!(table.len(), oracle.len());
         for (key, expect) in &oracle {
-            prop_assert!(same_record(table.get(key).unwrap(), expect), "final {:?}", key);
+            prop_assert!(same_record(&table.get(key).unwrap(), expect), "final {:?}", key);
         }
     }
 
@@ -405,12 +517,10 @@ proptest! {
             truth[..n].iter().zip(&pred).filter(|(t, p)| t != p).count());
     }
 
-    /// The slab/open-addressing [`FlowTable`] is bit-identical to the
-    /// hashmap reference implementation under arbitrary interleavings of
-    /// INT ingest, sFlow ingest, and idle eviction. The clock is strictly
-    /// increasing so every record's `last_seen_ns` is unique — the
-    /// oldest-idle eviction fallback then has one well-defined victim in
-    /// both tables, making the comparison exact rather than modulo ties.
+    /// The two-tier [`FlowTable`] is bit-identical to the hashmap
+    /// reference implementation under arbitrary interleavings of INT,
+    /// sFlow and PINT ingest and idle eviction, over a 12-key universe
+    /// where most flows reach the slab.
     #[test]
     fn slab_flow_table_matches_hashmap_reference(
         ops in proptest::collection::vec(
@@ -418,89 +528,34 @@ proptest! {
             1..400,
         ),
     ) {
-        use amlight::features::reference::HashFlowTable;
-        use amlight::sflow::FlowSample;
+        matches_hashmap_reference(
+            FlowTableConfig {
+                idle_timeout_ns: 50_000,
+                max_flows: 8, // below the 12-key universe: eviction fires
+            },
+            12,
+            &ops,
+        )?;
+    }
 
-        let cfg = FlowTableConfig {
-            idle_timeout_ns: 50_000,
-            max_flows: 8, // below the 12-key universe: eviction fires
-        };
-        let mut slab = FlowTable::new(cfg);
-        let mut reference = HashFlowTable::new(cfg);
-        let flow = |port: u16| FlowKey::new(
-            [10, 0, 0, 1].into(),
-            [10, 0, 0, 2].into(),
-            5000 + port,
-            443,
-            Protocol::Tcp,
-        );
-
-        for (i, &(op, k, len, stamp)) in ops.iter().enumerate() {
-            let now = (i as u64 + 1) * 10_000;
-            match op {
-                0..=3 => {
-                    let report = TelemetryReport {
-                        flow: flow(k),
-                        ip_len: len,
-                        tcp_flags: Some(0x02),
-                        instructions: InstructionSet::amlight(),
-                        hops: vec![HopMetadata {
-                            switch_id: 1,
-                            ingress_tstamp: stamp.wrapping_sub(400),
-                            egress_tstamp: stamp,
-                            hop_latency: 0,
-                            queue_occupancy: stamp % 32,
-                        }].into(),
-                        export_ns: now,
-                    };
-                    let (k1, r1) = slab.apply(&report.flow_update());
-                    let (f1, seq1, pkts1) = (r1.features(), r1.update_seq, r1.packet_count());
-                    let (k2, r2) = reference.apply(&report.flow_update());
-                    prop_assert_eq!(k1, k2);
-                    prop_assert_eq!(seq1, r2.update_seq);
-                    prop_assert_eq!(pkts1, r2.packet_count());
-                    prop_assert_eq!(f1, r2.features());
-                }
-                4..=6 => {
-                    let sample = FlowSample {
-                        flow: flow(k),
-                        ip_len: len,
-                        tcp_flags: Some(0x10),
-                        observed_ns: now,
-                        sampling_period: 4096,
-                    };
-                    let (k1, r1) = slab.apply(&sample.flow_update());
-                    let (f1, seq1) = (r1.features(), r1.update_seq);
-                    let (k2, r2) = reference.apply(&sample.flow_update());
-                    prop_assert_eq!(k1, k2);
-                    prop_assert_eq!(seq1, r2.update_seq);
-                    prop_assert_eq!(f1, r2.features());
-                }
-                _ => {
-                    prop_assert_eq!(slab.evict_idle(now), reference.evict_idle(now));
-                }
-            }
-        }
-
-        prop_assert_eq!(slab.len(), reference.len());
-        prop_assert_eq!(slab.created(), reference.created());
-        prop_assert_eq!(slab.updated(), reference.updated());
-        prop_assert_eq!(slab.evicted(), reference.evicted());
-        for port in 0..12u16 {
-            match (slab.get(&flow(port)), reference.get(&flow(port))) {
-                (Some(a), Some(b)) => {
-                    prop_assert_eq!(a.features(), b.features());
-                    prop_assert_eq!(a.packet_count(), b.packet_count());
-                    prop_assert_eq!(a.last_seen_ns, b.last_seen_ns);
-                }
-                (None, None) => {}
-                (a, b) => prop_assert!(
-                    false,
-                    "presence diverged for port {}: slab={} ref={}",
-                    port, a.is_some(), b.is_some()
-                ),
-            }
-        }
+    /// The same oracle over a 200-key universe: most flows see one packet
+    /// and stay in the nursery, and the at-capacity fallback evicts from
+    /// both tiers.
+    #[test]
+    fn nursery_heavy_flow_table_matches_hashmap_reference(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u16..200, 40u16..1500, any::<u32>()),
+            1..400,
+        ),
+    ) {
+        matches_hashmap_reference(
+            FlowTableConfig {
+                idle_timeout_ns: 1_500_000,
+                max_flows: 64, // below the 200-key universe
+            },
+            200,
+            &ops,
+        )?;
     }
 
     #[test]
