@@ -70,6 +70,8 @@ COMMANDS:
                                        --telemetry pint (default 8)
                    --include-slowloris train on SlowLoris too (default: held
                                        out as the zero-day attack)
+                   --fast              smoke-sized training (5 MLP epochs,
+                                       10 forest trees)
                    --emit-meta         print the bundle's stamped metadata
                                        (schema, epoch, training window) as
                                        JSON after training
@@ -129,6 +131,53 @@ COMMANDS:
     help         show this message
 ";
 
+/// The flags (value flags and switches) each command takes, as listed in
+/// [`USAGE`]; any other `--flag` is a parse error.
+fn accepted_flags(command: Command) -> &'static [&'static str] {
+    match command {
+        Command::Capture => &["out", "day-len", "seed", "hops"],
+        Command::Train => &[
+            "capture",
+            "out",
+            "telemetry",
+            "sample-period",
+            "pint-bits",
+            "include-slowloris",
+            "emit-meta",
+            "fast",
+        ],
+        Command::Detect => &[
+            "capture",
+            "bundle",
+            "telemetry",
+            "sample-period",
+            "pint-bits",
+            "paper-pace",
+            "threaded",
+            "shards",
+            "adapt",
+            "prefilter",
+            "listen",
+            "listeners",
+            "duration-ms",
+            "max-events",
+            "port-file",
+            "require-clean",
+        ],
+        Command::Replay => &[
+            "capture",
+            "to",
+            "telemetry",
+            "sample-period",
+            "pint-bits",
+            "per-datagram",
+        ],
+        Command::Microburst => &["capture"],
+        Command::Demo => &["seed"],
+        Command::Help => &[],
+    }
+}
+
 impl Args {
     /// Parse tokens (not including the program name).
     pub fn parse<I, S>(tokens: I) -> Result<Self, ParseError>
@@ -137,7 +186,8 @@ impl Args {
         S: Into<String>,
     {
         let mut iter = tokens.into_iter().map(Into::into);
-        let command = match iter.next().as_deref() {
+        let word = iter.next();
+        let command = match word.as_deref() {
             Some("capture") => Command::Capture,
             Some("train") => Command::Train,
             Some("detect") => Command::Detect,
@@ -158,6 +208,12 @@ impl Args {
                 }
                 None => {
                     if let Some(name) = tok.strip_prefix("--") {
+                        if !accepted_flags(command).contains(&name) {
+                            return Err(ParseError(format!(
+                                "unknown flag `--{name}` for `{}`",
+                                word.as_deref().unwrap_or("help")
+                            )));
+                        }
                         if Self::is_switch(name) {
                             switches.push(name.to_string());
                         } else {
@@ -321,6 +377,21 @@ mod tests {
     fn bad_number_rejected() {
         let args = Args::parse(["capture", "--seed", "abc"]).unwrap();
         assert!(args.get_u64("seed", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_rejected_naming_it() {
+        // A misspelt flag must not silently fall back to the defaults
+        // (here: the unsharded, ungated virtual-time driver).
+        let err = Args::parse(["detect", "--prefliter", "on", "--shard", "4"]).unwrap_err();
+        assert!(err.0.contains("--prefliter"), "{err}");
+        // A real flag of another command is just as unknown.
+        let err = Args::parse(["capture", "--bundle", "b.json"]).unwrap_err();
+        assert!(
+            err.0.contains("--bundle") && err.0.contains("capture"),
+            "{err}"
+        );
+        assert!(Args::parse(["train", "--fast", "--emit-meta"]).is_ok());
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The subcommand implementations.
 
 use crate::args::{Args, Command, USAGE};
-use amlight_core::event::{
-    pint_view, sample_reports, TelemetryBackend, TelemetryEvent, ViewOptions,
-};
+use amlight_core::event::{TelemetryBackend, TelemetryEvent, ViewOptions};
 use amlight_core::pipeline::{DetectionPipeline, PipelineConfig};
 use amlight_core::runtime::{AdaptConfig, ThreadedPipeline};
 use amlight_core::source::ReplaySource;
@@ -16,8 +14,7 @@ use amlight_ingest::{IngestServer, ListenerConfig, WireProtocol};
 use amlight_int::microburst::detect_from_reports;
 use amlight_int::{IntCollector, MicroburstConfig, TelemetryReport};
 use amlight_net::TrafficClass;
-use amlight_sflow::{batch_into_datagrams, FlowSample, SamplingMode, SflowAgent};
-use amlight_traffic::{TrafficMix, TrafficMixConfig};
+use amlight_sflow::{batch_into_datagrams, FlowSample};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::Write;
@@ -82,13 +79,11 @@ impl CaptureFile {
             hops,
             ..Default::default()
         });
-        let mix = TrafficMix::new(TrafficMixConfig::paper_capture(day_len_s, seed));
-        let reports = lab.run_labeled(&mix.generate());
         Self {
             seed,
             day_len_s,
             hops,
-            reports,
+            reports: lab.replay_capture(day_len_s, seed),
         }
     }
 
@@ -175,19 +170,6 @@ fn validate_bundle(bundle: &ModelBundle, backend: TelemetryBackend) -> Result<()
             backend.name(),
         ))
     })
-}
-
-/// Re-observe an INT capture through a seeded sFlow sampling agent:
-/// each report is one packet at the observation point, so the agent's
-/// 1-in-N decision produces the sampled view of the same traffic.
-fn sflow_view(capture: &CaptureFile, period: u32) -> Vec<(FlowSample, TrafficClass)> {
-    let mut agent = SflowAgent::new(
-        SamplingMode::RandomSkip {
-            period: period.max(1),
-        },
-        capture.seed,
-    );
-    sample_reports(&capture.reports, &mut agent)
 }
 
 fn cmd_capture(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
@@ -475,9 +457,11 @@ fn cmd_replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     }
     let (tcp, addr) = parse_endpoint(url)?;
     let protocol = wire_protocol(backend, tcp)?;
-    let period = args.get_u64("sample-period", 256).map_err(bad)? as u32;
     let per_datagram = args.get_u64("per-datagram", 4).map_err(bad)?.max(1) as usize;
     let capture = CaptureFile::load(args.get("capture", "capture.json"))?;
+    let opts = view_options(args, capture.seed)?;
+    // The same backend view `train` and `detect` derive from a capture.
+    let view = || backend.derive_view(&capture.reports, &opts).into_iter();
 
     match protocol {
         WireProtocol::IntTcp => {
@@ -512,9 +496,11 @@ fn cmd_replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             )?;
         }
         WireProtocol::SflowUdp => {
-            let samples: Vec<FlowSample> = sflow_view(&capture, period)
-                .into_iter()
-                .map(|(s, _)| s)
+            let samples: Vec<FlowSample> = view()
+                .filter_map(|e| match e.event {
+                    TelemetryEvent::Sflow(s) => Some(s),
+                    _ => None,
+                })
                 .collect();
             let grams =
                 batch_into_datagrams(std::net::Ipv4Addr::LOCALHOST, &samples, per_datagram.max(1));
@@ -524,16 +510,18 @@ fn cmd_replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             }
             writeln!(
                 out,
-                "sent {} sFlow samples (1-in-{period}) in {} udp datagrams to {addr}",
+                "sent {} sFlow samples (1-in-{}) in {} udp datagrams to {addr}",
                 samples.len(),
+                opts.sample_period,
                 grams.len(),
             )?;
         }
         WireProtocol::PintUdp => {
-            let bits = view_options(args, capture.seed)?.pint_bits;
-            let reports: Vec<amlight_pint::PintReport> = pint_view(&capture.reports, bits)
-                .into_iter()
-                .map(|(r, _)| r)
+            let reports: Vec<amlight_pint::PintReport> = view()
+                .filter_map(|e| match e.event {
+                    TelemetryEvent::Pint(r) => Some(r),
+                    _ => None,
+                })
                 .collect();
             let grams = amlight_pint::batch_into_datagrams(
                 std::net::Ipv4Addr::LOCALHOST,
@@ -546,8 +534,9 @@ fn cmd_replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
             }
             writeln!(
                 out,
-                "sent {} pint reports ({bits}-bit digests) in {} udp datagrams to {addr}",
+                "sent {} pint reports ({}-bit digests) in {} udp datagrams to {addr}",
                 reports.len(),
+                opts.pint_bits,
                 grams.len(),
             )?;
         }

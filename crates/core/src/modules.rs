@@ -141,22 +141,43 @@ pub enum Ingest {
     Dropped { key: FlowKey, registered_ns: u64 },
 }
 
-/// Actual lane tallies — what the Processor really did with updates
-/// (contrast [`TriageCounters`], which tallies what the scorer *would*
-/// do, mode notwithstanding).
+/// What the triage pre-filter did: the lanes a [`Processor`] actually
+/// applied, plus the scorer's would-be verdicts. A threaded run sums one
+/// per processor shard. With the stage off (mode `Off`) every update is
+/// `forwarded` and the rest stays zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LaneCounts {
+pub struct TriageStats {
+    pub mode: PrefilterMode,
+    /// Updates evaluated on the normal prediction lane.
     pub forwarded: u64,
+    /// Updates parked on the low-priority lane (drained when idle).
     pub deferred: u64,
+    /// Updates the pre-filter dropped before prediction.
     pub dropped: u64,
+    /// Deferred updates shed because the low-priority lane was full —
+    /// the lane's explicit overflow, counted, never silent.
+    pub shed: u64,
+    /// The scorer's would-be verdicts (what `on` would have done) —
+    /// shadow mode's measurement output.
+    pub would: TriageCounters,
 }
 
-impl LaneCounts {
-    /// Fold another processor's tallies in (shard aggregation).
-    pub fn merge(&mut self, other: &LaneCounts) {
+impl TriageStats {
+    /// Updates that actually reached the ensemble:
+    /// forwarded plus the deferred ones that weren't shed.
+    pub fn evaluated(&self) -> u64 {
+        self.forwarded + self.deferred - self.shed
+    }
+
+    /// Fold another shard's tallies in; every shard of a run shares one
+    /// mode.
+    pub fn merge(&mut self, other: &TriageStats) {
+        self.mode = other.mode;
         self.forwarded += other.forwarded;
         self.deferred += other.deferred;
         self.dropped += other.dropped;
+        self.shed += other.shed;
+        self.would.merge(&other.would);
     }
 }
 
@@ -168,10 +189,9 @@ pub struct Processor<C: Clock> {
     db: FlowDatabase,
     clock: C,
     feature_set: FeatureSet,
-    created: u64,
-    prefilter: PrefilterMode,
     triage: Option<TriageStage>,
-    lanes: LaneCounts,
+    /// Mode and applied lanes; `would` is filled in from the stage on read.
+    stats: TriageStats,
 }
 
 impl<C: Clock> Processor<C> {
@@ -186,10 +206,8 @@ impl<C: Clock> Processor<C> {
             db,
             clock,
             feature_set,
-            created: 0,
-            prefilter: PrefilterMode::Off,
             triage: None,
-            lanes: LaneCounts::default(),
+            stats: TriageStats::default(),
         }
     }
 
@@ -197,7 +215,7 @@ impl<C: Clock> Processor<C> {
     /// event feeds the sketch state; in [`PrefilterMode::On`] the verdict
     /// actually gates, in [`PrefilterMode::Shadow`] it is only counted.
     pub fn with_prefilter(mut self, mode: PrefilterMode, cfg: TriageConfig) -> Self {
-        self.prefilter = mode;
+        self.stats.mode = mode;
         self.triage = match mode {
             PrefilterMode::Off => None,
             _ => Some(TriageStage::new(cfg)),
@@ -230,7 +248,6 @@ impl<C: Clock> Processor<C> {
                 if let Some(stage) = self.triage.as_mut() {
                     let _ = stage.assess(&update, rec);
                 }
-                self.created += 1;
                 self.db.record_created(key, features, registered_ns);
                 Ingest::Created { key, registered_ns }
             }
@@ -241,13 +258,13 @@ impl<C: Clock> Processor<C> {
                     Some(stage) => stage.assess(&update, rec),
                     None => TriageDecision::forward(),
                 };
-                let lane = match self.prefilter {
+                let lane = match self.stats.mode {
                     // Shadow scores and counts but never gates.
                     PrefilterMode::On => decision.verdict,
                     _ => TriageVerdict::Forward,
                 };
                 if matches!(lane, TriageVerdict::Drop) {
-                    self.lanes.dropped += 1;
+                    self.stats.dropped += 1;
                     return Ingest::Dropped { key, registered_ns };
                 }
                 if self.feature_set.contains(FeatureId::SketchScore) {
@@ -255,8 +272,8 @@ impl<C: Clock> Processor<C> {
                 }
                 features.project_into(self.feature_set, rows);
                 match lane {
-                    TriageVerdict::Defer => self.lanes.deferred += 1,
-                    _ => self.lanes.forwarded += 1,
+                    TriageVerdict::Defer => self.stats.deferred += 1,
+                    _ => self.stats.forwarded += 1,
                 }
                 Ingest::Judged(JudgedUpdate {
                     key,
@@ -270,7 +287,7 @@ impl<C: Clock> Processor<C> {
 
     /// Flows created by this processor so far.
     pub fn created(&self) -> u64 {
-        self.created
+        self.table.created()
     }
 
     /// Live flows in this processor's table.
@@ -278,23 +295,17 @@ impl<C: Clock> Processor<C> {
         self.table.len()
     }
 
-    /// Actual lane tallies (forward/defer/drop as applied).
-    pub fn lane_counts(&self) -> LaneCounts {
-        self.lanes
-    }
-
-    /// The triage scorer's would-be tallies (all-zero when the stage is
-    /// off).
-    pub fn triage_counters(&self) -> TriageCounters {
-        self.triage
-            .as_ref()
-            .map(TriageStage::counters)
-            .unwrap_or_default()
-    }
-
-    /// The configured pre-filter mode.
-    pub fn prefilter(&self) -> PrefilterMode {
-        self.prefilter
+    /// The pre-filter's tallies so far: the lanes as applied and the
+    /// scorer's would-be verdicts (all-zero when the stage is off).
+    pub fn triage_stats(&self) -> TriageStats {
+        TriageStats {
+            would: self
+                .triage
+                .as_ref()
+                .map(TriageStage::counters)
+                .unwrap_or_default(),
+            ..self.stats
+        }
     }
 }
 
@@ -599,10 +610,10 @@ mod tests {
         assert_eq!(rows.len() as u64 / 15, forwarded);
         // … but every update (dropped included) hit the database.
         assert_eq!(db.update_count() as u64, n - 1);
-        let lanes = p.lane_counts();
-        assert_eq!(lanes.forwarded, forwarded);
-        assert_eq!(lanes.dropped, dropped);
-        assert_eq!(p.triage_counters().scored, n - 1);
+        let stats = p.triage_stats();
+        assert_eq!(stats.forwarded, forwarded);
+        assert_eq!(stats.dropped, dropped);
+        assert_eq!(stats.would.scored, n - 1);
     }
 
     #[test]
@@ -629,11 +640,10 @@ mod tests {
             assert_eq!(a, b, "shadow must be bit-identical to off");
         }
         assert_eq!(rows_off, rows_shadow);
-        assert_eq!(shadow.lane_counts().dropped, 0);
-        assert_eq!(shadow.lane_counts().deferred, 0);
-        let would = shadow.triage_counters();
-        assert!(would.drop > 0, "shadow still counts would-be drops");
-        assert_eq!(off.triage_counters(), TriageCounters::default());
+        let stats = shadow.triage_stats();
+        assert_eq!((stats.dropped, stats.deferred), (0, 0));
+        assert!(stats.would.drop > 0, "shadow still counts would-be drops");
+        assert_eq!(off.triage_stats().would, TriageCounters::default());
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! The batch is the unit of work on every hop: one channel message
 //! carries up to [`MAX_JOB_BATCH`] events or judged updates, a partial
 //! batch leaves as soon as its producer has nothing more on hand (so a
-//! trickling live source is never held back to fill one), and the
-//! buffers travel back to their producers for reuse. Between wire bytes
-//! and stored verdict no event takes a lock, a channel message or a heap
-//! allocation of its own.
+//! trickling live source is never held back to fill one). Buffers flow
+//! one way: each producer allocates a batch's buffer at its final size
+//! and the consumer drops it. Between wire bytes and stored verdict no
+//! event takes a lock, a channel message or a heap allocation of its own.
 //!
 //! Every stage stamps time with one shared [`WallClock`] epoch, so
 //! registration and prediction stamps are directly comparable.
@@ -54,13 +54,12 @@ use crate::db::FlowDatabase;
 use crate::drift::{DriftConfig, DriftDetector};
 use crate::epoch::EpochHandle;
 use crate::event::{LabeledEvent, Telemetry};
-use crate::modules::{Clock, Ingest, LaneCounts, Predictor, Processor, WallClock};
+pub use crate::modules::TriageStats;
+use crate::modules::{Clock, Ingest, Predictor, Processor, WallClock};
 use crate::source::{BatchPoll, EventSource, IterSource};
 use crate::trainer::{train_bundle, ModelBundle, TrainerConfig};
 use crate::verdict::{RecallCounts, VerdictCounts};
-use amlight_features::{
-    FlowTableConfig, PrefilterMode, ShardRouter, TriageConfig, TriageCounters, TriageVerdict,
-};
+use amlight_features::{FlowTableConfig, PrefilterMode, ShardRouter, TriageConfig, TriageVerdict};
 use amlight_ml::Dataset;
 use amlight_net::{FlowKey, TrafficClass};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
@@ -96,27 +95,10 @@ const SMOOTHING_WINDOW: usize = 3;
 /// re-checking the deferred lane (priority-drain loop, prefilter on).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// How many recycled event buffers, [`BatchJob`] shells (per shard) and
-/// prediction scratch vectors the pool channels hold. Deep enough to
-/// cover the batches in flight across the job and vote channels under
-/// normal pacing; when the pool momentarily runs dry a fresh buffer is
-/// allocated, and when it is full a returning buffer is simply dropped —
-/// both paths are non-blocking, so recycling can never deadlock the
-/// pipeline.
-const POOL_DEPTH: usize = 32;
-
 /// A batch of prediction jobs flowing shard → Prediction: one channel
 /// message (and one columnar ensemble call downstream) for every update
 /// the shard had on hand, not one message per flow update.
-///
-/// After aggregation stores the batch's verdicts, the (cleared) shell
-/// travels back to its shard over a per-shard pool channel, so the
-/// steady-state hot path reuses `items`/`rows` capacity instead of
-/// allocating per batch.
 struct BatchJob {
-    /// Which processor shard built this batch — the return address for
-    /// buffer recycling.
-    shard: usize,
     /// (flow, wall-clock registration stamp ns, ground truth if the
     /// source was labeled) per judged update, in the shard's arrival
     /// order.
@@ -126,18 +108,19 @@ struct BatchJob {
 }
 
 impl BatchJob {
-    fn empty(shard: usize) -> Self {
+    /// An empty batch with room for the judged updates of one full event
+    /// batch, so neither buffer grows while the shard fills it.
+    fn new(dim: usize) -> Self {
         Self {
-            shard,
             items: Vec::with_capacity(MAX_JOB_BATCH),
-            rows: Vec::new(),
+            rows: Vec::with_capacity(MAX_JOB_BATCH * dim),
         }
     }
 }
 
 /// The scored batch flowing Prediction → aggregation. Carries the whole
-/// job (not just its items) so aggregation can recycle the row buffers
-/// back to the owning shard.
+/// job (not just its items) so aggregation can feed the rows to the
+/// shadow trainer.
 struct BatchVoted {
     job: BatchJob,
     attacks: Vec<bool>,
@@ -223,41 +206,6 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
-
-/// What the triage pre-filter did during a run, aggregated across the
-/// processor shards. All-zero (mode `Off`) when the stage is disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TriageStats {
-    pub mode: PrefilterMode,
-    /// Updates evaluated on the normal prediction lane.
-    pub forwarded: u64,
-    /// Updates parked on the low-priority lane (drained when idle).
-    pub deferred: u64,
-    /// Updates the pre-filter dropped before prediction.
-    pub dropped: u64,
-    /// Deferred updates shed because the low-priority lane was full —
-    /// the lane's explicit overflow, counted, never silent.
-    pub shed: u64,
-    /// The scorer's would-be verdicts (what `on` would have done) —
-    /// shadow mode's measurement output.
-    pub would: TriageCounters,
-}
-
-impl TriageStats {
-    /// Updates that actually reached the ensemble:
-    /// forwarded plus the deferred ones that weren't shed.
-    pub fn evaluated(&self) -> u64 {
-        self.forwarded + self.deferred - self.shed
-    }
-}
-
-/// What one processor shard hands back when it exits.
-struct ShardStats {
-    created: u64,
-    lanes: LaneCounts,
-    triage: TriageCounters,
-    shed: u64,
-}
 
 /// Summary of a threaded run.
 #[derive(Debug, Clone, PartialEq)]
@@ -491,22 +439,6 @@ impl ThreadedPipeline {
             None => (None, None),
         };
 
-        // Buffer-recycling pools: shards return drained event buffers to
-        // collection, aggregation returns drained BatchJob shells to
-        // their owning shard and drained vote vectors to prediction.
-        // Strictly non-blocking on both ends (try_recv to acquire,
-        // try_send to return) so the pools can only ever save
-        // allocations, never stall the pipeline.
-        let (events_pool_tx, events_pool_rx) = bounded::<Vec<LabeledEvent>>(POOL_DEPTH);
-        let mut pool_txs = Vec::with_capacity(n_shards);
-        let mut pool_rxs = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let (tx, rx) = bounded::<BatchJob>(POOL_DEPTH);
-            pool_txs.push(tx);
-            pool_rxs.push(rx);
-        }
-        let (scratch_tx, scratch_rx) = bounded::<Vec<bool>>(POOL_DEPTH);
-
         // Module 1: Data Collection — drains the source (either
         // telemetry backend) a batch at a time and fans events out by
         // flow hash into one outgoing buffer per shard; both event kinds
@@ -524,13 +456,10 @@ impl ThreadedPipeline {
                 let mut outbox: Vec<Vec<LabeledEvent>> = (0..n_shards)
                     .map(|_| Vec::with_capacity(MAX_JOB_BATCH))
                     .collect();
-                // Send shard `i`'s buffer and put a recycled one in its
-                // place; false once the shard is gone.
+                // Send shard `i`'s buffer and put a fresh one in its place;
+                // false once the shard is gone.
                 let dispatch = |outbox: &mut [Vec<LabeledEvent>], i: usize| {
-                    let fresh = events_pool_rx
-                        .try_recv()
-                        .unwrap_or_else(|_| Vec::with_capacity(MAX_JOB_BATCH));
-                    let full = std::mem::replace(&mut outbox[i], fresh);
+                    let full = std::mem::replace(&mut outbox[i], Vec::with_capacity(MAX_JOB_BATCH));
                     let n = full.len();
                     let sent = shard_txs[i].send(full).is_ok();
                     if !sent {
@@ -584,25 +513,22 @@ impl ThreadedPipeline {
         // updates predicted promptly.
         let prefilter = self.prefilter;
         let triage_cfg = self.triage;
-        let processors: Vec<JoinHandle<ShardStats>> = shard_rxs
+        let processors: Vec<JoinHandle<(u64, TriageStats)>> = shard_rxs
             .into_iter()
-            .zip(pool_rxs)
-            .enumerate()
-            .map(|(shard_idx, (shard_rx, pool_rx))| {
+            .map(|shard_rx| {
                 let db = self.db.clone();
                 let job_tx = job_tx.clone();
                 let defer_tx = defer_tx.clone();
-                let events_pool_tx = events_pool_tx.clone();
                 let in_flight = Arc::clone(&in_flight);
                 std::thread::spawn(move || {
                     let mut processor =
                         Processor::new(FlowTableConfig::default(), db, clock, feature_set)
                             .with_prefilter(prefilter, triage_cfg);
                     // Both are empty again at the end of every turn.
-                    let mut batch = BatchJob::empty(shard_idx);
-                    let mut defer = BatchJob::empty(shard_idx);
+                    let mut batch = BatchJob::new(dim);
+                    let mut defer = BatchJob::new(dim);
                     let mut shed = 0u64;
-                    for mut events in shard_rx.iter() {
+                    for events in shard_rx.iter() {
                         for event in &events {
                             ingest_event(&mut processor, event, &mut batch, &mut defer, dim);
                         }
@@ -613,46 +539,30 @@ impl ThreadedPipeline {
                         // retire after their verdict is stored.
                         let judged = batch.items.len() + defer.items.len();
                         in_flight.fetch_sub(events.len() - judged, Ordering::AcqRel);
-                        events.clear();
-                        let _ = events_pool_tx.try_send(events);
-                        // Prefer a recycled shell (cleared by the
-                        // aggregator) over a fresh allocation.
-                        let shell = || {
-                            pool_rx
-                                .try_recv()
-                                .unwrap_or_else(|_| BatchJob::empty(shard_idx))
-                        };
                         if !batch.items.is_empty() {
-                            let full = std::mem::replace(&mut batch, shell());
+                            let full = std::mem::replace(&mut batch, BatchJob::new(dim));
                             if job_tx.send(full).is_err() {
                                 break;
                             }
                         }
                         if !defer.items.is_empty() {
-                            let full = std::mem::replace(&mut defer, shell());
+                            let full = std::mem::replace(&mut defer, BatchJob::new(dim));
                             // Strictly non-blocking: a saturated deferred
                             // lane sheds, it never backpressures ingest —
                             // that is the lane's whole contract.
-                            if let Err(err) = defer_tx.try_send(full) {
-                                let mut rejected = match err {
-                                    TrySendError::Full(job) => job,
-                                    TrySendError::Disconnected(job) => job,
-                                };
-                                let n = rejected.items.len();
-                                shed += n as u64;
-                                in_flight.fetch_sub(n, Ordering::AcqRel);
-                                rejected.items.clear();
-                                rejected.rows.clear();
-                                defer = rejected;
+                            if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+                                defer_tx.try_send(full)
+                            {
+                                shed += job.items.len() as u64;
+                                in_flight.fetch_sub(job.items.len(), Ordering::AcqRel);
                             }
                         }
                     }
-                    ShardStats {
-                        created: processor.created(),
-                        lanes: processor.lane_counts(),
-                        triage: processor.triage_counters(),
+                    let triage = TriageStats {
                         shed,
-                    }
+                        ..processor.triage_stats()
+                    };
+                    (processor.created(), triage)
                 })
             })
             .collect();
@@ -670,14 +580,7 @@ impl ThreadedPipeline {
             let handle = self.handle.clone();
             std::thread::spawn(move || {
                 let mut predictor = Predictor::shared(handle);
-                serve_lanes(
-                    &mut predictor,
-                    prefilter,
-                    job_rx,
-                    defer_rx,
-                    &scratch_rx,
-                    &vote_tx,
-                );
+                serve_lanes(&mut predictor, prefilter, job_rx, defer_rx, &vote_tx);
                 (
                     predictor.rows_scored(),
                     predictor.rows_escalated(),
@@ -724,19 +627,6 @@ impl ThreadedPipeline {
                     if let Some(tx) = &sample_tx {
                         feed_trainer(&batch, dim, tx, &mut samples_fed, &mut samples_shed);
                     }
-                    // Recycle: drained shells go home to their shard,
-                    // vote vectors back to prediction. try_send — a full
-                    // pool (or an exited stage) just drops the buffer.
-                    let BatchVoted {
-                        mut job,
-                        mut attacks,
-                        epoch: _,
-                    } = batch;
-                    job.items.clear();
-                    job.rows.clear();
-                    let _ = pool_txs[job.shard].try_send(job);
-                    attacks.clear();
-                    let _ = scratch_tx.try_send(attacks);
                 }
                 // Dropping sample_tx here disconnects the trainer's
                 // receiver, which is what ends the adaptation thread.
@@ -758,7 +648,6 @@ impl ThreadedPipeline {
             aggregator,
             adaptation,
             handle: self.handle.clone(),
-            prefilter,
             stop,
             in_flight,
             done,
@@ -774,7 +663,6 @@ fn serve_lanes(
     prefilter: PrefilterMode,
     job_rx: Receiver<BatchJob>,
     defer_rx: Receiver<BatchJob>,
-    scratch_rx: &Receiver<Vec<bool>>,
     vote_tx: &Sender<BatchVoted>,
 ) {
     if prefilter != PrefilterMode::On {
@@ -784,7 +672,7 @@ fn serve_lanes(
         // are apples-to-apples.
         drop(defer_rx);
         for job in job_rx.iter() {
-            if !score_batch(predictor, job, scratch_rx, vote_tx) {
+            if !score_batch(predictor, job, vote_tx) {
                 return;
             }
         }
@@ -796,7 +684,7 @@ fn serve_lanes(
     loop {
         match job_rx.try_recv() {
             Ok(job) => {
-                if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                if !score_batch(predictor, job, vote_tx) {
                     return;
                 }
                 continue;
@@ -805,14 +693,14 @@ fn serve_lanes(
             Err(TryRecvError::Empty) => {}
         }
         if let Ok(job) = defer_rx.try_recv() {
-            if !score_batch(predictor, job, scratch_rx, vote_tx) {
+            if !score_batch(predictor, job, vote_tx) {
                 return;
             }
             continue;
         }
         match job_rx.recv_timeout(IDLE_WAIT) {
             Ok(job) => {
-                if !score_batch(predictor, job, scratch_rx, vote_tx) {
+                if !score_batch(predictor, job, vote_tx) {
                     return;
                 }
             }
@@ -824,7 +712,7 @@ fn serve_lanes(
     // (and not shed) is still evaluated before the run ends — which is
     // what keeps verdict totals, and recall, shard-count invariant.
     for job in defer_rx.iter() {
-        if !score_batch(predictor, job, scratch_rx, vote_tx) {
+        if !score_batch(predictor, job, vote_tx) {
             return;
         }
     }
@@ -833,15 +721,8 @@ fn serve_lanes(
 /// Score one batch through the shared ensemble and pass it to
 /// aggregation. Returns `false` when aggregation has exited (time for
 /// the prediction thread to stop too).
-fn score_batch(
-    predictor: &mut Predictor,
-    job: BatchJob,
-    scratch_rx: &Receiver<Vec<bool>>,
-    vote_tx: &Sender<BatchVoted>,
-) -> bool {
-    // Vote buffers round-trip through aggregation and come back via the
-    // scratch pool; predict() clears them.
-    let mut attacks: Vec<bool> = scratch_rx.try_recv().unwrap_or_default();
+fn score_batch(predictor: &mut Predictor, job: BatchJob, vote_tx: &Sender<BatchVoted>) -> bool {
+    let mut attacks = Vec::with_capacity(job.items.len());
     let epoch = predictor.predict(&job.rows, &mut attacks);
     vote_tx
         .send(BatchVoted {
@@ -906,17 +787,17 @@ fn ingest_event<C: Clock>(
     if let Ingest::Judged(judged) = processor.ingest(&event.event, &mut batch.rows) {
         if judged.lane == TriageVerdict::Defer {
             let split = batch.rows.len() - dim;
-            // amlint: cold -- pooled BatchJob buffer, reused across batches
+            // amlint: cold -- BatchJob buffer sized for a full batch at creation
             defer.rows.extend_from_slice(&batch.rows[split..]);
             batch.rows.truncate(split);
             defer
                 .items
-                // amlint: cold -- pooled BatchJob buffer, reused across batches
+                // amlint: cold -- BatchJob buffer sized for a full batch at creation
                 .push((judged.key, judged.registered_ns, event.truth));
         } else {
             batch
                 .items
-                // amlint: cold -- pooled BatchJob buffer, reused across batches
+                // amlint: cold -- BatchJob buffer sized for a full batch at creation
                 .push((judged.key, judged.registered_ns, event.truth));
         }
     }
@@ -933,7 +814,8 @@ const DRAIN_POLL: Duration = Duration::from_micros(400);
 /// [`ThreadedPipeline::start`].
 pub struct RunHandle {
     collection: JoinHandle<u64>,
-    processors: Vec<JoinHandle<ShardStats>>,
+    /// Each returns (flows created, triage tallies with its shed).
+    processors: Vec<JoinHandle<(u64, TriageStats)>>,
     /// Returns (rows scored, rows escalated to the MLP, trees walked).
     prediction: JoinHandle<(u64, u64, u64)>,
     aggregator: JoinHandle<(VerdictCounts, RecallCounts, f64, f64, u64, u64)>,
@@ -943,9 +825,6 @@ pub struct RunHandle {
     /// The run's model handle, for stamping final-epoch stats and for
     /// callers that want to publish into the live run.
     handle: EpochHandle,
-    /// Which pre-filter mode the run was started with (stamped into the
-    /// final stats).
-    prefilter: PrefilterMode,
     stop: Arc<AtomicBool>,
     in_flight: Arc<AtomicUsize>,
     done: Arc<AtomicBool>,
@@ -988,17 +867,13 @@ impl RunHandle {
             module: "collection",
         });
         let mut flows_created = 0u64;
-        let mut lanes = LaneCounts::default();
-        let mut would = TriageCounters::default();
-        let mut shed = 0u64;
+        let mut triage = TriageStats::default();
         let mut shard_err = None;
         for shard in self.processors {
             match shard.join() {
-                Ok(stats) => {
-                    flows_created += stats.created;
-                    lanes.merge(&stats.lanes);
-                    would.merge(&stats.triage);
-                    shed += stats.shed;
+                Ok((created, stats)) => {
+                    flows_created += created;
+                    triage.merge(&stats);
                 }
                 Err(_) => {
                     shard_err = Some(RuntimeError {
@@ -1045,14 +920,7 @@ impl RunHandle {
                 retrains,
                 final_epoch: self.handle.current_epoch(),
             },
-            triage: TriageStats {
-                mode: self.prefilter,
-                forwarded: lanes.forwarded,
-                deferred: lanes.deferred,
-                dropped: lanes.dropped,
-                shed,
-                would,
-            },
+            triage,
             rows_scored,
             rows_escalated,
             trees_walked,
@@ -1438,8 +1306,9 @@ mod tests {
     fn prefilter_on_cuts_predictor_load_and_accounts_every_update() {
         let reports: Vec<TelemetryReport> = capture(150).into_iter().map(|(r, _)| r).collect();
         let n = reports.len() as u64;
+        let b = bundle();
 
-        let off = ThreadedPipeline::new(bundle());
+        let off = ThreadedPipeline::new(b.clone());
         let base = off.run(reports.clone()).expect("no module panicked");
         assert_eq!(base.predictions, n - 8);
         // Off still tallies the (sole) lane; the scorer never ran.
@@ -1451,28 +1320,34 @@ mod tests {
             }
         );
 
-        let on = ThreadedPipeline::new(bundle())
-            .with_prefilter(PrefilterMode::On)
-            .with_triage_config(quiet_triage());
-        let stats = on.run(reports).expect("no module panicked");
-        let t = stats.triage;
-        assert_eq!(t.mode, PrefilterMode::On);
-        assert!(t.dropped > 0, "flood updates must be decimated");
-        // Conservation: every ingested event is a flow creation, a
-        // stored verdict, a triage drop, or explicit shed — nothing
-        // vanishes silently.
-        assert_eq!(
-            stats.flows_created + stats.predictions + t.dropped + t.shed,
-            stats.events_in
-        );
-        assert_eq!(stats.predictions, t.evaluated());
-        assert!(
-            stats.predictions < base.predictions,
-            "gating must cut predictor load: {} vs {}",
-            stats.predictions,
-            base.predictions
-        );
-        assert_eq!(on.database().predictions().len() as u64, stats.predictions);
+        // Each shard counts its own lanes; the run reports their sum, and
+        // conservation must hold for it at every shard count.
+        for shards in [1, 2, 4] {
+            let on = ThreadedPipeline::new(b.clone())
+                .with_shards(shards)
+                .with_prefilter(PrefilterMode::On)
+                .with_triage_config(quiet_triage());
+            let stats = on.run(reports.clone()).expect("no module panicked");
+            let t = stats.triage;
+            assert_eq!(t.mode, PrefilterMode::On);
+            assert!(t.dropped > 0, "flood updates must be decimated");
+            // Conservation: every ingested event is a flow creation, a
+            // stored verdict, a triage drop, or explicit shed — nothing
+            // vanishes silently.
+            assert_eq!(
+                stats.flows_created + stats.predictions + t.dropped + t.shed,
+                stats.events_in,
+                "{shards} shard(s)"
+            );
+            assert_eq!(stats.predictions, t.evaluated(), "{shards} shard(s)");
+            assert!(
+                stats.predictions < base.predictions,
+                "gating must cut predictor load: {} vs {}",
+                stats.predictions,
+                base.predictions
+            );
+            assert_eq!(on.database().predictions().len() as u64, stats.predictions);
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@ use amlight_features::{
 };
 use amlight_ml::model::BinaryClassifier;
 use amlight_ml::{
-    BundleMeta, Dataset, GaussianNb, MajorityEnsemble, MetaError, Mlp, MlpConfig, RandomForest,
-    RandomForestConfig, StandardScaler, BUNDLE_SCHEMA_VERSION,
+    BundleMeta, Dataset, GaussianNb, MetaError, Mlp, MlpConfig, RandomForest, RandomForestConfig,
+    StandardScaler, BUNDLE_SCHEMA_VERSION,
 };
 use amlight_net::TrafficClass;
 use serde::{Deserialize, Serialize};
@@ -265,16 +265,6 @@ impl ModelBundle {
             out[i] = amlight_ml::decide(p);
         }
         cost
-    }
-
-    /// Wrap the three members as a [`MajorityEnsemble`] over *scaled*
-    /// inputs (for the generic evaluation paths).
-    pub fn into_ensemble(self) -> MajorityEnsemble {
-        MajorityEnsemble::new(vec![
-            Box::new(self.mlp),
-            Box::new(self.forest),
-            Box::new(self.gnb),
-        ])
     }
 
     /// Stamp the training-window bounds (telemetry-clock ns) into the

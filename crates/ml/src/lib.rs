@@ -14,13 +14,14 @@
 //!
 //! Plus the supporting cast: standard scaler, train/test split, binary
 //! metrics and confusion matrices, impurity- and permutation-based
-//! feature importances, and the 2-of-3 majority ensemble of §IV-C.4.
+//! feature importances, and the NaN-safe `decide` threshold the 2-of-3
+//! ensemble of §IV-C.4 votes with (the vote itself is `amlight-core`'s
+//! `ModelBundle`).
 //!
 //! Everything is deterministic given a seed.
 
 pub mod crossval;
 pub mod dataset;
-pub mod ensemble;
 pub mod error;
 pub mod gbt;
 pub mod gnb;
@@ -36,7 +37,6 @@ pub mod tree;
 
 pub use crossval::{cross_validate, kfold_indices, CvReport};
 pub use dataset::Dataset;
-pub use ensemble::MajorityEnsemble;
 pub use error::MlError;
 pub use gbt::{GbtConfig, GradientBoost};
 pub use gnb::GaussianNb;

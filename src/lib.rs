@@ -58,7 +58,6 @@ pub mod prelude {
         TelemetryReport,
     };
     pub use amlight_ml::{
-        ensemble::MajorityEnsemble,
         gbt::{GbtConfig, GradientBoost},
         metrics::{BinaryMetrics, ConfusionMatrix},
         model::BinaryClassifier,
