@@ -33,7 +33,8 @@
 //! bundle) while a writer publishes in a storm.
 //!
 //! A full run writes `BENCH_drift.json` at the repo root (a `--fast`
-//! smoke run only into an explicitly set `AMLIGHT_RESULTS_DIR`).
+//! smoke run only into an explicitly set `AMLIGHT_RESULTS_DIR`). Run
+//! wall times and swap latencies are printed, never written.
 //! `--check` turns the acceptance gates into process failures: adaptive
 //! recall ≥ frozen recall, ≥1 retrain actually published, zero dropped
 //! events in both runs, zero torn reads, zero reader-path allocations.
@@ -75,16 +76,12 @@ struct RunRecord {
     drift_events: u64,
     retrains: u64,
     final_epoch: u64,
-    wall_ms: f64,
 }
 
 #[derive(Serialize)]
 struct SwapLatency {
     publishes: u64,
-    publish_mean_ns: f64,
-    publish_max_ns: u64,
     reader_loads: u64,
-    reader_mean_ns: f64,
     /// Allocations across all reader loads (must be 0: the load path is
     /// one atomic Acquire and a stack guard).
     reader_allocs: u64,
@@ -103,7 +100,6 @@ struct TornReadAudit {
 struct DriftBenchReport {
     seed: u64,
     fast: bool,
-    host_cpus: usize,
     segments: usize,
     events_per_segment: usize,
     frozen: RunRecord,
@@ -272,7 +268,11 @@ fn run_pipeline(
         drift_events += stats.adapt.drift_events;
         retrains += stats.adapt.retrains;
     }
-    let wall = start.elapsed().as_secs_f64();
+    println!(
+        "{} run: {:.1} ms",
+        if adaptive { "adaptive" } else { "frozen" },
+        start.elapsed().as_secs_f64() * 1e3
+    );
     Ok(RunRecord {
         adaptive,
         events_in,
@@ -287,12 +287,12 @@ fn run_pipeline(
         drift_events,
         retrains,
         final_epoch: pipe.model_handle().current_epoch(),
-        wall_ms: wall * 1e3,
     })
 }
 
-/// Writer-side swap latency and reader-side load latency, with the
-/// stats_alloc proof that the wait-free reader path allocates nothing.
+/// Writer-side swap latency and reader-side load latency (printed, not
+/// recorded), with the stats_alloc proof that the wait-free reader path
+/// allocates nothing.
 fn measure_swap(bundle: &ModelBundle, publishes: u64, reader_loads: u64) -> SwapLatency {
     let handle = EpochHandle::new(bundle.clone());
     // Clones prepared outside the measured region — publish() consumes
@@ -318,12 +318,14 @@ fn measure_swap(bundle: &ModelBundle, publishes: u64, reader_loads: u64) -> Swap
     let reader_allocs = region.change().acquisitions();
     std::hint::black_box(acc);
 
+    println!(
+        "swap: publish mean {:.0} ns (max {max_ns} ns); reader load mean {:.1} ns, {reader_allocs} alloc(s) over {reader_loads} loads",
+        total_ns as f64 / publishes.max(1) as f64,
+        read_ns as f64 / reader_loads.max(1) as f64,
+    );
     SwapLatency {
         publishes,
-        publish_mean_ns: total_ns as f64 / publishes.max(1) as f64,
-        publish_max_ns: max_ns,
         reader_loads,
-        reader_mean_ns: read_ns as f64 / reader_loads.max(1) as f64,
         reader_allocs,
     }
 }
@@ -430,10 +432,6 @@ pub fn run(fast: bool, seed: u64, check: bool) -> Result<(), String> {
     }
 
     let swap = measure_swap(&bundle, 32, 200_000);
-    println!(
-        "swap: publish mean {:.0} ns (max {} ns); reader load mean {:.1} ns, {} alloc(s) over {} loads",
-        swap.publish_mean_ns, swap.publish_max_ns, swap.reader_mean_ns, swap.reader_allocs, swap.reader_loads,
-    );
     let torn_audit = torn_read_audit(&bundle, Duration::from_millis(if fast { 150 } else { 400 }));
     println!(
         "torn-read audit: {} loads across {} publishes, {} torn",
@@ -456,7 +454,6 @@ pub fn run(fast: bool, seed: u64, check: bool) -> Result<(), String> {
     let report = DriftBenchReport {
         seed,
         fast,
-        host_cpus,
         segments,
         events_per_segment: pairs * 2,
         frozen,

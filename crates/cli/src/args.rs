@@ -104,7 +104,11 @@ COMMANDS:
                                        tcp://host:port (port 0 = ephemeral)
                                        and detect on whatever arrives; the
                                        wire framing follows --telemetry
-                                       (sflow and pint are UDP-only)
+                                       (sflow and pint are UDP-only). The
+                                       five flags below need --listen;
+                                       --capture, --sample-period,
+                                       --pint-bits, --paper-pace, --threaded
+                                       and --adapt are refused with it
                    --listeners <n>     SO_REUSEPORT listener threads
                                        (default 1)
                    --duration-ms <n>   listen window (default 10000)
@@ -178,6 +182,19 @@ fn accepted_flags(command: Command) -> &'static [&'static str] {
     }
 }
 
+/// Which of `detect`'s two modes reads `flag`: `Some(true)` only the
+/// daemon (`--listen`), `Some(false)` only the capture replay, `None`
+/// both.
+fn listen_only(flag: &str) -> Option<bool> {
+    match flag {
+        "listeners" | "duration-ms" | "max-events" | "port-file" | "require-clean" => Some(true),
+        "capture" | "paper-pace" | "threaded" | "adapt" | "sample-period" | "pint-bits" => {
+            Some(false)
+        }
+        _ => None,
+    }
+}
+
 impl Args {
     /// Parse tokens (not including the program name).
     pub fn parse<I, S>(tokens: I) -> Result<Self, ParseError>
@@ -227,6 +244,21 @@ impl Args {
         }
         if let Some(key) = pending {
             return Err(ParseError(format!("flag --{key} needs a value")));
+        }
+        // Each of detect's modes reads only its own flags; one of the
+        // other mode's is an error, never silently ignored.
+        let listen = flags.get("listen").is_some_and(|url| !url.is_empty());
+        let foreign = flags
+            .keys()
+            .chain(&switches)
+            .filter(|name| command == Command::Detect && listen_only(name) == Some(!listen));
+        if let Some(name) = foreign.min() {
+            let relation = if listen {
+                "cannot be used with"
+            } else {
+                "needs"
+            };
+            return Err(ParseError(format!("`--{name}` {relation} `--listen`")));
         }
         Ok(Self {
             command,
@@ -392,6 +424,52 @@ mod tests {
             "{err}"
         );
         assert!(Args::parse(["train", "--fast", "--emit-meta"]).is_ok());
+    }
+
+    #[test]
+    fn detect_rejects_the_other_modes_flags_naming_them() {
+        let err = Args::parse([
+            "detect",
+            "--capture",
+            "c.json",
+            "--bundle",
+            "b.json",
+            "--require-clean",
+            "--max-events",
+            "5",
+        ])
+        .unwrap_err();
+        assert_eq!(err.0, "`--max-events` needs `--listen`");
+        for flag in ["--duration-ms", "--port-file"] {
+            let err = Args::parse(["detect", flag, "1"]).unwrap_err();
+            assert!(err.0.contains(flag), "{err}");
+        }
+        let err = Args::parse([
+            "detect",
+            "--listen",
+            "udp://127.0.0.1:0",
+            "--bundle",
+            "b.json",
+            "--adapt",
+        ])
+        .unwrap_err();
+        assert!(err.0.contains("`--adapt` cannot be used with"), "{err}");
+        for flag in ["--capture", "--sample-period", "--pint-bits"] {
+            let err =
+                Args::parse(["detect", "--listen", "udp://127.0.0.1:0", flag, "1"]).unwrap_err();
+            assert!(err.0.contains(flag), "{err}");
+        }
+        for switch in ["--paper-pace", "--threaded"] {
+            let err = Args::parse(["detect", switch, "--listen", "udp://127.0.0.1:0"]).unwrap_err();
+            assert!(err.0.contains(switch), "{err}");
+        }
+        // Flags both modes read stay legal in either.
+        for listen in [&["--listen", "tcp://127.0.0.1:0"][..], &[]] {
+            let mut tokens = vec!["detect", "--bundle", "b.json", "--telemetry", "int"];
+            tokens.extend(["--shards", "2", "--prefilter", "on"]);
+            tokens.extend(listen);
+            assert!(Args::parse(tokens).is_ok());
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! backend — a flow lands on the same shard no matter which telemetry
 //! system observed it.
 
-use amlight_features::{FeatureId, FeatureSet, FlowRecord, FlowTable, FlowUpdate, UpdateKind};
+use amlight_features::{FeatureId, FeatureSet, FlowUpdate};
 use amlight_int::TelemetryReport;
 use amlight_net::{FlowKey, TrafficClass};
 use amlight_pint::{PintEncoder, PintReport, PintSketch, SketchConfig};
@@ -215,8 +215,8 @@ impl From<PintReport> for TelemetryEvent {
 /// Implemented for every backend's event type and for the dynamic
 /// [`TelemetryEvent`], so drivers can stay monomorphic over one backend
 /// (the virtual-time replay) or mix them behind the enum (the streaming
-/// runtime). `update` is provided: with the lowering in place, there is
-/// nothing backend-specific left to do against the table.
+/// runtime). With the lowering in place, nothing backend-specific is
+/// left to do against the flow table.
 pub trait Telemetry {
     /// The 5-tuple the event belongs to — every backend carries the
     /// full key, which is what makes shard routing backend-agnostic.
@@ -233,12 +233,6 @@ pub trait Telemetry {
     /// single place a backend's semantics (which clock, which optional
     /// columns) are encoded.
     fn flow_update(&self) -> FlowUpdate;
-
-    /// Apply this event to a flow table via the shared ingest path.
-    #[inline]
-    fn update<'t>(&self, table: &'t mut FlowTable) -> (UpdateKind, &'t FlowRecord) {
-        table.apply(&self.flow_update())
-    }
 }
 
 impl Telemetry for TelemetryReport {
@@ -472,7 +466,6 @@ pub fn pint_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amlight_features::FlowTableConfig;
     use amlight_int::{HopMetadata, InstructionSet};
     use amlight_net::Protocol;
     use amlight_sflow::SamplingMode;
@@ -537,24 +530,6 @@ mod tests {
         assert_eq!(int.backend().name(), "int");
         assert_eq!(sf.backend().name(), "sflow");
         assert_eq!(pi.backend().name(), "pint");
-    }
-
-    #[test]
-    fn enum_update_matches_direct_table_calls() {
-        let mut direct = FlowTable::new(FlowTableConfig::default());
-        let mut via_event = FlowTable::new(FlowTableConfig::default());
-
-        for event in [
-            TelemetryEvent::from(report(1, 100)),
-            TelemetryEvent::from(sample(1, 300)),
-            TelemetryEvent::from(pint(1, 500)),
-        ] {
-            let (k1, rec1) = direct.apply(&event.flow_update());
-            let f1 = rec1.features();
-            let (k2, rec2) = event.update(&mut via_event);
-            assert_eq!(k1, k2);
-            assert_eq!(f1, rec2.features());
-        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ pub use event::{
 pub use guard::{FloodAlert, GuardConfig, NewFlowGuard};
 pub use mailbox::EventMailbox;
 pub use modules::{
-    Aggregator, Clock, Ingest, JudgedUpdate, Predictor, Processor, VirtualClock, WallClock,
+    Aggregator, Clock, Ingest, JudgedUpdate, LaneBatch, Predictor, Processor, VirtualClock,
+    WallClock,
 };
 pub use pipeline::{DetectionPipeline, PipelineConfig, PipelineReport};
 pub use runtime::{AdaptConfig, AdaptStats, RunHandle, RuntimeError, ThreadedPipeline};

@@ -13,9 +13,10 @@
 //!   feature-row projection for **updated** flows only (brand-new flows
 //!   are never forwarded to Prediction, §III-3).
 //! * [`Predictor`] — Fig. 2's *Prediction* module: pre-fitted scaler +
-//!   pre-trained ensemble, one columnar [`ModelBundle::votes_batch`]
-//!   call per micro-batch (GNB and the forest over every row, the MLP
-//!   only where those two split — counted, never silent).
+//!   pre-trained ensemble, one columnar
+//!   [`crate::trainer::ModelBundle::votes_batch`] call per micro-batch
+//!   (GNB and the forest over every row, the MLP only where those two
+//!   split — counted, never silent).
 //! * [`Aggregator`] — the Data Processor's aggregation half: per-flow
 //!   smoothing windows, verdict counting, and the stored
 //!   [`PredictionRecord`] with its prediction-latency stamp.
@@ -31,15 +32,15 @@
 use crate::db::{FlowDatabase, PredictionRecord};
 use crate::epoch::EpochHandle;
 use crate::event::Telemetry;
-use crate::trainer::{ModelBundle, VoteScratch};
-use crate::verdict::{SmoothingWindow, Verdict, VerdictCounts};
+use crate::trainer::VoteScratch;
+use crate::verdict::{RecallCounts, SmoothingWindow, Verdict, VerdictCounts};
 use amlight_features::UpdateKind;
 use amlight_features::{
     FeatureId, FeatureSet, FlowTable, FlowTableConfig, PrefilterMode, TriageConfig, TriageCounters,
     TriageDecision, TriageStage, TriageVerdict,
 };
 use amlight_net::flow::FnvHashMap;
-use amlight_net::FlowKey;
+use amlight_net::{FlowKey, TrafficClass};
 use std::time::Instant;
 
 /// The time base a [`Processor`] stamps registrations with.
@@ -141,6 +142,29 @@ pub enum Ingest {
     Dropped { key: FlowKey, registered_ns: u64 },
 }
 
+/// The judged updates of one prediction lane, as [`Processor::route`]
+/// fills them: one channel message, and one columnar ensemble call, for
+/// every update its producer had on hand in that lane.
+#[derive(Debug, Default)]
+pub struct LaneBatch {
+    /// (flow, registration stamp ns, ground truth if the source was
+    /// labeled) per judged update, in arrival order.
+    pub items: Vec<(FlowKey, u64, Option<TrafficClass>)>,
+    /// Row-major raw feature rows, parallel to `items`.
+    pub rows: Vec<f64>,
+}
+
+impl LaneBatch {
+    /// An empty batch with room for `updates` judged updates of `dim`
+    /// features each, so neither buffer grows while it fills.
+    pub fn with_capacity(updates: usize, dim: usize) -> Self {
+        Self {
+            items: Vec::with_capacity(updates),
+            rows: Vec::with_capacity(updates * dim),
+        }
+    }
+}
+
 /// What the triage pre-filter did: the lanes a [`Processor`] actually
 /// applied, plus the scorer's would-be verdicts. A threaded run sums one
 /// per processor shard. With the stage off (mode `Off`) every update is
@@ -231,10 +255,44 @@ impl<C: Clock> Processor<C> {
     /// updates that survive gating — append the projected feature row to
     /// `rows` and return the judged update (tagged with its prediction
     /// lane).
-    /// This is the one place the created-vs-updated forwarding decision
-    /// lives, and it is identical for every telemetry backend.
     // amlint: hot
     pub fn ingest<E: Telemetry>(&mut self, event: &E, rows: &mut Vec<f64>) -> Ingest {
+        self.judge(event, rows, None)
+    }
+
+    /// [`Processor::ingest`] one event, routing a judged update onto the
+    /// lane triage chose: its row is projected straight into that lane's
+    /// `rows` and (key, stamp, `truth`) pushed onto its `items`.
+    // amlint: hot
+    pub fn route<E: Telemetry>(
+        &mut self,
+        event: &E,
+        truth: Option<TrafficClass>,
+        main: &mut LaneBatch,
+        deferred: &mut LaneBatch,
+    ) -> Ingest {
+        let outcome = self.judge(event, &mut main.rows, Some(&mut deferred.rows));
+        if let Ingest::Judged(judged) = outcome {
+            let lane = match judged.lane {
+                TriageVerdict::Defer => deferred,
+                _ => main,
+            };
+            lane.items
+                // amlint: cold -- LaneBatch sized for a full batch at creation
+                .push((judged.key, judged.registered_ns, truth));
+        }
+        outcome
+    }
+
+    /// The one place the created-vs-updated forwarding decision lives,
+    /// identical for every telemetry backend. A judged row goes to
+    /// `deferred_rows`, if given, when triage defers it, else to `rows`.
+    fn judge<E: Telemetry>(
+        &mut self,
+        event: &E,
+        rows: &mut Vec<f64>,
+        deferred_rows: Option<&mut Vec<f64>>,
+    ) -> Ingest {
         let key = event.flow();
         let registered_ns = self.clock.register_ns(event.event_ns());
         let update = event.flow_update();
@@ -270,6 +328,10 @@ impl<C: Clock> Processor<C> {
                 if self.feature_set.contains(FeatureId::SketchScore) {
                     features.set(FeatureId::SketchScore, decision.score);
                 }
+                let rows = match (lane, deferred_rows) {
+                    (TriageVerdict::Defer, Some(deferred)) => deferred,
+                    _ => rows,
+                };
                 features.project_into(self.feature_set, rows);
                 match lane {
                     TriageVerdict::Defer => self.stats.deferred += 1,
@@ -283,6 +345,12 @@ impl<C: Clock> Processor<C> {
                 })
             }
         }
+    }
+
+    /// Count `n` deferred updates the caller shed because the deferred
+    /// lane was full.
+    pub fn count_shed(&mut self, n: u64) {
+        self.stats.shed += n;
     }
 
     /// Flows created by this processor so far.
@@ -335,13 +403,6 @@ pub struct Predictor {
 }
 
 impl Predictor {
-    /// A predictor over a private, freshly wrapped bundle — for drivers
-    /// that never hot-swap. Hot-swapping drivers share a handle via
-    /// [`Predictor::shared`].
-    pub fn new(bundle: ModelBundle) -> Self {
-        Self::shared(EpochHandle::new(bundle))
-    }
-
     /// A predictor reading (a clone of) a shared epoch handle: publishes
     /// through any clone of `handle` become visible on the next batch.
     pub fn shared(handle: EpochHandle) -> Self {
@@ -403,6 +464,10 @@ pub struct Aggregator {
     counts: VerdictCounts,
     latency_sum_us: f64,
     latency_max_us: f64,
+    /// Verdicts [`Aggregator::stage_batch`] scored against ground truth.
+    labeled: RecallCounts,
+    /// Labeled rows shed instead of fed to a shadow trainer.
+    trainer_shed: u64,
     /// Records folded by [`Aggregator::stage`] and not yet stored.
     staged: Vec<PredictionRecord>,
 }
@@ -416,6 +481,8 @@ impl Aggregator {
             counts: VerdictCounts::default(),
             latency_sum_us: 0.0,
             latency_max_us: 0.0,
+            labeled: RecallCounts::default(),
+            trainer_shed: 0,
             staged: Vec::new(),
         }
     }
@@ -455,6 +522,24 @@ impl Aggregator {
         verdict
     }
 
+    /// [`Aggregator::stage`] every item of a voted lane batch, `attacks`
+    /// parallel to its items, and score each labeled item's verdict
+    /// against its ground truth.
+    pub fn stage_batch(
+        &mut self,
+        batch: &LaneBatch,
+        attacks: &[bool],
+        predicted_ns: u64,
+        epoch: u64,
+    ) {
+        for (&(key, registered_ns, truth), &attack) in batch.items.iter().zip(attacks) {
+            let verdict = self.stage(key, attack, registered_ns, predicted_ns, epoch);
+            if let Some(class) = truth {
+                self.labeled.observe(class.label(), verdict);
+            }
+        }
+    }
+
     /// Store everything staged since the last commit, in staging order,
     /// under one lock acquisition.
     pub fn commit(&mut self) {
@@ -490,6 +575,22 @@ impl Aggregator {
 
     pub fn max_latency_us(&self) -> f64 {
         self.latency_max_us
+    }
+
+    /// Ground-truth tallies of the verdicts [`Aggregator::stage_batch`]
+    /// staged (all-zero for an unlabeled stream).
+    pub fn labeled(&self) -> RecallCounts {
+        self.labeled
+    }
+
+    /// Count `rows` labeled rows shed instead of fed to a shadow trainer.
+    pub fn count_trainer_shed(&mut self, rows: u64) {
+        self.trainer_shed += rows;
+    }
+
+    /// Labeled rows shed toward the shadow trainer so far.
+    pub fn trainer_shed(&self) -> u64 {
+        self.trainer_shed
     }
 }
 
@@ -644,6 +745,71 @@ mod tests {
         assert_eq!((stats.dropped, stats.deferred), (0, 0));
         assert!(stats.would.drop > 0, "shadow still counts would-be drops");
         assert_eq!(off.triage_stats().would, TriageCounters::default());
+    }
+
+    #[test]
+    fn route_is_ingest_split_by_lane() {
+        let quiet = TriageConfig {
+            alarm_min_events: u64::MAX,
+            ..TriageConfig::default()
+        };
+        let mk = || {
+            Processor::new(
+                FlowTableConfig::default(),
+                FlowDatabase::new(),
+                VirtualClock {
+                    processing_delay_ns: 5,
+                },
+                FeatureSet::full(),
+            )
+            .with_prefilter(PrefilterMode::On, quiet)
+        };
+        let (mut via_ingest, mut via_route) = (mk(), mk());
+        let dim = FeatureSet::full().dim();
+        // Steady benign flows (which defer once warmed up) interleaved
+        // with one flood-shaped flow (forwarded and dropped); every
+        // seventh event carries no ground truth.
+        let mut events = Vec::new();
+        for i in 0..300u64 {
+            let mut benign = report(100 + (i % 4) as u16, i * 1_000_000);
+            benign.ip_len = 800;
+            events.push((benign, TrafficClass::Benign));
+            events.push((floody(i), TrafficClass::SynFlood));
+        }
+
+        let mut rows = Vec::new();
+        let mut want = [LaneBatch::default(), LaneBatch::default()];
+        let mut main = LaneBatch::with_capacity(16, dim);
+        let mut deferred = LaneBatch::with_capacity(16, dim);
+        for (i, (event, class)) in events.iter().enumerate() {
+            let truth = (i % 7 != 0).then_some(*class);
+            let expected = via_ingest.ingest(event, &mut rows);
+            let written = main.rows.len() + deferred.rows.len();
+            assert_eq!(
+                via_route.route(event, truth, &mut main, &mut deferred),
+                expected
+            );
+            match expected {
+                Ingest::Judged(j) => {
+                    let lane = &mut want[usize::from(j.lane == TriageVerdict::Defer)];
+                    lane.items.push((j.key, j.registered_ns, truth));
+                    lane.rows.append(&mut rows);
+                }
+                _ => assert_eq!(
+                    main.rows.len() + deferred.rows.len(),
+                    written,
+                    "no row for a created or dropped update"
+                ),
+            }
+        }
+        let stats = via_route.triage_stats();
+        assert!(stats.forwarded > 0 && stats.deferred > 0 && stats.dropped > 0);
+        assert_eq!(stats, via_ingest.triage_stats());
+        for (got, want) in [(&main, &want[0]), (&deferred, &want[1])] {
+            assert_eq!(got.items, want.items);
+            let bits = |rows: &[f64]| rows.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.rows), bits(&want.rows));
+        }
     }
 
     #[test]

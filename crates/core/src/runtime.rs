@@ -17,8 +17,9 @@
 //! * **processor shards** (N threads) each own a private
 //!   [`Processor`] — flow table + database tallies + the CentralServer's
 //!   updates-only forwarding rule, with the backend-specific table
-//!   update behind [`crate::event::Telemetry`] dispatch — and hand the
-//!   judged updates of each event batch toward prediction;
+//!   update behind [`crate::event::Telemetry`] dispatch — whose
+//!   [`Processor::route`] fills one [`LaneBatch`] per prediction lane
+//!   from each event batch, which the shard then sends on;
 //! * **prediction** (one thread) fans the shard batches back in and runs
 //!   one early-exit ensemble pass per batch via the shared [`Predictor`]:
 //!   GNB and the forest vote on every row columnar (the forest walking
@@ -47,6 +48,12 @@
 //! lifecycle: `drain()` waits for everything ingested so far to flow all
 //! the way to the database, `stop()` ends collection early, and
 //! `join()` blocks until the source ends and every module thread exits.
+//! Each module thread hands back its stage as it exits — a shard its
+//! [`Processor`], prediction its [`Predictor`], aggregation its
+//! [`Aggregator`], the shadow trainer its [`AdaptStats`] — and `join()`
+//! reads the run's tallies off them; the runtime itself counts only
+//! what is in flight. `drain()` also returns once the aggregator thread
+//! has finished, so it never waits on a pipeline that shut down or died.
 //! [`ThreadedPipeline::run`] is `start(IterSource) + join()` for an
 //! in-memory `Vec` of any backend's events.
 
@@ -55,13 +62,12 @@ use crate::drift::{DriftConfig, DriftDetector};
 use crate::epoch::EpochHandle;
 use crate::event::{LabeledEvent, Telemetry};
 pub use crate::modules::TriageStats;
-use crate::modules::{Clock, Ingest, Predictor, Processor, WallClock};
+use crate::modules::{Aggregator, LaneBatch, Predictor, Processor, WallClock};
 use crate::source::{BatchPoll, EventSource, IterSource};
 use crate::trainer::{train_bundle, ModelBundle, TrainerConfig};
-use crate::verdict::{RecallCounts, VerdictCounts};
-use amlight_features::{FlowTableConfig, PrefilterMode, ShardRouter, TriageConfig, TriageVerdict};
+use crate::verdict::RecallCounts;
+use amlight_features::{FlowTableConfig, PrefilterMode, ShardRouter, TriageConfig};
 use amlight_ml::Dataset;
-use amlight_net::{FlowKey, TrafficClass};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -72,12 +78,12 @@ use std::time::Duration;
 /// a single channel message may carry.
 const MAX_JOB_BATCH: usize = 256;
 
-/// Depth of the hops whose depth decides what is kept: [`BatchJob`]s on
+/// Depth of the hops whose depth decides what is kept: [`LaneBatch`]es on
 /// the deferred lane, which sheds when full, and events (however they are
 /// batched) on collection → shard.
 const CHANNEL_CAPACITY: usize = 1024;
 
-/// Depth in [`BatchJob`]s of the main (shard → prediction) and vote
+/// Depth in [`LaneBatch`]es of the main (shard → prediction) and vote
 /// (prediction → aggregation) lanes. Both block when full, so their depth
 /// decides no verdict, only how far a stage may run ahead of the next:
 /// the backlog's memory and latency. At 1024 batches (≈ 262 k rows,
@@ -95,49 +101,15 @@ const SMOOTHING_WINDOW: usize = 3;
 /// re-checking the deferred lane (priority-drain loop, prefilter on).
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
-/// A batch of prediction jobs flowing shard → Prediction: one channel
-/// message (and one columnar ensemble call downstream) for every update
-/// the shard had on hand, not one message per flow update.
-struct BatchJob {
-    /// (flow, wall-clock registration stamp ns, ground truth if the
-    /// source was labeled) per judged update, in the shard's arrival
-    /// order.
-    items: Vec<(FlowKey, u64, Option<TrafficClass>)>,
-    /// Row-major raw feature rows, parallel to `items`.
-    rows: Vec<f64>,
-}
-
-impl BatchJob {
-    /// An empty batch with room for the judged updates of one full event
-    /// batch, so neither buffer grows while the shard fills it.
-    fn new(dim: usize) -> Self {
-        Self {
-            items: Vec::with_capacity(MAX_JOB_BATCH),
-            rows: Vec::with_capacity(MAX_JOB_BATCH * dim),
-        }
-    }
-}
-
-/// The scored batch flowing Prediction → aggregation. Carries the whole
-/// job (not just its items) so aggregation can feed the rows to the
-/// shadow trainer.
+/// A voted lane batch flowing Prediction → aggregation, which forwards
+/// the batch itself to the shadow trainer when adaptation is on.
 struct BatchVoted {
-    job: BatchJob,
+    batch: LaneBatch,
     attacks: Vec<bool>,
     /// Model epoch the whole batch was scored against — stamped into
     /// every stored verdict. One epoch per batch by construction (the
     /// predictor loads the handle once per batch).
     epoch: u64,
-}
-
-/// Labeled feature rows flowing aggregation → the shadow trainer over a
-/// bounded channel (non-blocking send: a slow trainer sheds samples, it
-/// never backpressures the verdict path).
-struct SampleBatch {
-    /// Row-major raw feature rows.
-    rows: Vec<f64>,
-    /// Ground-truth labels, parallel to the rows (`true` = attack).
-    labels: Vec<bool>,
 }
 
 /// Online-adaptation knobs for [`ThreadedPipeline::with_adaptation`]:
@@ -155,7 +127,7 @@ pub struct AdaptConfig {
     /// Rows (with both classes present) the buffer must hold before a
     /// drift flag may retrain.
     pub min_train_rows: usize,
-    /// Bounded capacity (in sample batches) of the aggregation → trainer
+    /// Bounded capacity (in voted batches) of the aggregation → trainer
     /// channel.
     pub queue_capacity: usize,
 }
@@ -236,16 +208,6 @@ pub struct ThreadedRunStats {
     pub trees_walked: u64,
     pub mean_latency_us: f64,
     pub max_latency_us: f64,
-}
-
-/// Sets a flag when dropped — survives panics, so [`RunHandle::drain`]
-/// can never spin forever on a dead aggregator.
-struct SetOnDrop(Arc<AtomicBool>);
-
-impl Drop for SetOnDrop {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
 }
 
 /// The live multi-module pipeline.
@@ -353,7 +315,6 @@ impl ThreadedPipeline {
         let clock = WallClock::new();
         let stop = Arc::new(AtomicBool::new(false));
         let in_flight = Arc::new(AtomicUsize::new(0));
-        let done = Arc::new(AtomicBool::new(false));
 
         let mut shard_txs = Vec::with_capacity(n_shards);
         let mut shard_rxs = Vec::with_capacity(n_shards);
@@ -364,7 +325,7 @@ impl ThreadedPipeline {
             shard_txs.push(tx);
             shard_rxs.push(rx);
         }
-        let (job_tx, job_rx) = bounded::<BatchJob>(BLOCKING_LANE_DEPTH);
+        let (job_tx, job_rx) = bounded::<LaneBatch>(BLOCKING_LANE_DEPTH);
         // The low-priority lane: deferred batches park here until the
         // prediction thread finds the main lane idle. Deep, because it
         // sheds rather than blocks: a processor that outruns the
@@ -375,34 +336,39 @@ impl ThreadedPipeline {
         // 33 k deferred updates per lap and one of 32 still 12–15 k;
         // this depth shed none, for about 2 MiB. Overflow is still
         // explicit, counted shed, never backpressure.
-        let (defer_tx, defer_rx) = bounded::<BatchJob>(CHANNEL_CAPACITY);
+        let (defer_tx, defer_rx) = bounded::<LaneBatch>(CHANNEL_CAPACITY);
         let (vote_tx, vote_rx) = bounded::<BatchVoted>(BLOCKING_LANE_DEPTH);
 
-        // Optional adaptation stage: a bounded sample channel from the
-        // aggregator (which sees rows + ground truth together) into a
-        // shadow-trainer thread that watches for drift, retrains, and
-        // publishes fresh epochs through the shared handle.
+        // Optional adaptation stage: a bounded channel of voted batches
+        // from the aggregator (which sees rows + ground truth together)
+        // into a shadow-trainer thread that watches for drift, retrains,
+        // and publishes fresh epochs through the shared handle.
         let feature_set = self.handle.feature_set();
         let dim = feature_set.dim();
         let (sample_tx, adaptation) = match &self.adapt {
             Some(cfg) => {
-                let (tx, rx) = bounded::<SampleBatch>(cfg.queue_capacity);
+                let (tx, rx) = bounded::<LaneBatch>(cfg.queue_capacity);
                 let cfg = cfg.clone();
                 let handle = self.handle.clone();
-                let worker: JoinHandle<(u64, u64)> = std::thread::spawn(move || {
-                    let dim = feature_set.dim();
+                let worker: JoinHandle<AdaptStats> = std::thread::spawn(move || {
                     let mut detector = DriftDetector::new(dim, cfg.drift);
                     let mut buf_rows: Vec<f64> = Vec::new();
                     let mut buf_labels: Vec<bool> = Vec::new();
-                    let mut drift_events = 0u64;
-                    let mut retrains = 0u64;
+                    let mut stats = AdaptStats::default();
                     for batch in rx.iter() {
-                        for (row, &label) in batch.rows.chunks_exact(dim).zip(&batch.labels) {
+                        for (&(_, _, truth), row) in
+                            batch.items.iter().zip(batch.rows.chunks_exact(dim))
+                        {
+                            // Only labeled rows train; an unlabeled item
+                            // rode along with its batch.
+                            let Some(class) = truth else { continue };
+                            let label = class.label();
+                            stats.samples_fed += 1;
                             // Drift is defined over the *benign*
                             // distribution — attack rows must not be
                             // able to fake (or mask) a drift flag.
                             if !label && detector.observe_row(row) {
-                                drift_events += 1;
+                                stats.drift_events += 1;
                             }
                             buf_rows.extend_from_slice(row);
                             buf_labels.push(label);
@@ -425,14 +391,14 @@ impl ThreadedPipeline {
                             }
                             let fresh = train_bundle(&data, feature_set, &cfg.trainer);
                             if handle.publish(fresh).is_ok() {
-                                retrains += 1;
+                                stats.retrains += 1;
                             }
                             // The retrained distribution is the new
                             // baseline; stale moments must not re-trip.
                             detector.reset();
                         }
                     }
-                    (drift_events, retrains)
+                    stats
                 });
                 (Some(tx), Some(worker))
             }
@@ -513,7 +479,7 @@ impl ThreadedPipeline {
         // updates predicted promptly.
         let prefilter = self.prefilter;
         let triage_cfg = self.triage;
-        let processors: Vec<JoinHandle<(u64, TriageStats)>> = shard_rxs
+        let processors: Vec<JoinHandle<Processor<WallClock>>> = shard_rxs
             .into_iter()
             .map(|shard_rx| {
                 let db = self.db.clone();
@@ -524,45 +490,41 @@ impl ThreadedPipeline {
                     let mut processor =
                         Processor::new(FlowTableConfig::default(), db, clock, feature_set)
                             .with_prefilter(prefilter, triage_cfg);
+                    let lane = || LaneBatch::with_capacity(MAX_JOB_BATCH, dim);
                     // Both are empty again at the end of every turn.
-                    let mut batch = BatchJob::new(dim);
-                    let mut defer = BatchJob::new(dim);
-                    let mut shed = 0u64;
+                    let mut main = lane();
+                    let mut deferred = lane();
                     for events in shard_rx.iter() {
                         for event in &events {
-                            ingest_event(&mut processor, event, &mut batch, &mut defer, dim);
+                            processor.route(&event.event, event.truth, &mut main, &mut deferred);
                         }
                         // Created flows retire from the in-flight count
                         // here (they never reach aggregation, §III-3),
                         // and so do triage-dropped updates (no verdict
                         // will ever be stored for them); judged ones
                         // retire after their verdict is stored.
-                        let judged = batch.items.len() + defer.items.len();
+                        let judged = main.items.len() + deferred.items.len();
                         in_flight.fetch_sub(events.len() - judged, Ordering::AcqRel);
-                        if !batch.items.is_empty() {
-                            let full = std::mem::replace(&mut batch, BatchJob::new(dim));
+                        if !main.items.is_empty() {
+                            let full = std::mem::replace(&mut main, lane());
                             if job_tx.send(full).is_err() {
                                 break;
                             }
                         }
-                        if !defer.items.is_empty() {
-                            let full = std::mem::replace(&mut defer, BatchJob::new(dim));
+                        if !deferred.items.is_empty() {
+                            let full = std::mem::replace(&mut deferred, lane());
                             // Strictly non-blocking: a saturated deferred
                             // lane sheds, it never backpressures ingest —
                             // that is the lane's whole contract.
                             if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
                                 defer_tx.try_send(full)
                             {
-                                shed += job.items.len() as u64;
+                                processor.count_shed(job.items.len() as u64);
                                 in_flight.fetch_sub(job.items.len(), Ordering::AcqRel);
                             }
                         }
                     }
-                    let triage = TriageStats {
-                        shed,
-                        ..processor.triage_stats()
-                    };
-                    (processor.created(), triage)
+                    processor
                 })
             })
             .collect();
@@ -575,17 +537,13 @@ impl ThreadedPipeline {
         // scaler + early-exit ensemble pass per batch, against whatever
         // model epoch is published when the batch arrives (one wait-free
         // handle load per batch, so a hot-swap lands between batches,
-        // never inside one). The thread hands back its vote tallies.
-        let prediction: JoinHandle<(u64, u64, u64)> = {
+        // never inside one). The thread hands back its predictor.
+        let prediction: JoinHandle<Predictor> = {
             let handle = self.handle.clone();
             std::thread::spawn(move || {
                 let mut predictor = Predictor::shared(handle);
                 serve_lanes(&mut predictor, prefilter, job_rx, defer_rx, &vote_tx);
-                (
-                    predictor.rows_scored(),
-                    predictor.rows_escalated(),
-                    predictor.trees_walked(),
-                )
+                predictor
             })
         };
 
@@ -594,50 +552,38 @@ impl ThreadedPipeline {
         // When the source threaded labels through, every smoothed
         // verdict is also scored against its ground truth here, so the
         // run reports recall without a side-channel lookup table.
-        let aggregator: JoinHandle<(VerdictCounts, RecallCounts, f64, f64, u64, u64)> = {
+        let aggregator: JoinHandle<Aggregator> = {
             let db = self.db.clone();
             let in_flight = Arc::clone(&in_flight);
-            let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let _done_guard = SetOnDrop(done);
-                let mut agg = crate::modules::Aggregator::new(db, SMOOTHING_WINDOW);
-                let mut labeled = RecallCounts::default();
-                let mut samples_fed = 0u64;
-                let mut samples_shed = 0u64;
-                for batch in vote_rx.iter() {
-                    let predicted_ns = clock.now_ns();
-                    for (&(key, registered_ns, truth), &attack) in
-                        batch.job.items.iter().zip(&batch.attacks)
-                    {
-                        let verdict =
-                            agg.stage(key, attack, registered_ns, predicted_ns, batch.epoch);
-                        if let Some(class) = truth {
-                            labeled.observe(class.label(), verdict);
-                        }
-                    }
+                let mut agg = Aggregator::new(db, SMOOTHING_WINDOW);
+                for voted in vote_rx.iter() {
+                    agg.stage_batch(&voted.batch, &voted.attacks, clock.now_ns(), voted.epoch);
                     // Stored first, retired second: drain() promises the
                     // verdicts are in the database once nothing is in
                     // flight.
                     agg.commit();
-                    in_flight.fetch_sub(batch.job.items.len(), Ordering::AcqRel);
+                    in_flight.fetch_sub(voted.batch.items.len(), Ordering::AcqRel);
                     // Feed the shadow trainer: the aggregator is the one
                     // stage that sees feature rows and ground truth side
-                    // by side. Strictly non-blocking (try_send) — a busy
-                    // trainer sheds samples, it never stalls verdicts.
+                    // by side, so it forwards the voted batch itself.
+                    // Strictly non-blocking (try_send) — a busy trainer
+                    // sheds samples, it never stalls verdicts.
                     if let Some(tx) = &sample_tx {
-                        feed_trainer(&batch, dim, tx, &mut samples_fed, &mut samples_shed);
+                        let labeled = voted
+                            .batch
+                            .items
+                            .iter()
+                            .filter(|item| item.2.is_some())
+                            .count() as u64;
+                        if labeled > 0 && tx.try_send(voted.batch).is_err() {
+                            agg.count_trainer_shed(labeled);
+                        }
                     }
                 }
                 // Dropping sample_tx here disconnects the trainer's
                 // receiver, which is what ends the adaptation thread.
-                (
-                    agg.counts(),
-                    labeled,
-                    agg.mean_latency_us(),
-                    agg.max_latency_us(),
-                    samples_fed,
-                    samples_shed,
-                )
+                agg
             })
         };
 
@@ -650,7 +596,6 @@ impl ThreadedPipeline {
             handle: self.handle.clone(),
             stop,
             in_flight,
-            done,
         }
     }
 }
@@ -661,8 +606,8 @@ impl ThreadedPipeline {
 fn serve_lanes(
     predictor: &mut Predictor,
     prefilter: PrefilterMode,
-    job_rx: Receiver<BatchJob>,
-    defer_rx: Receiver<BatchJob>,
+    job_rx: Receiver<LaneBatch>,
+    defer_rx: Receiver<LaneBatch>,
     vote_tx: &Sender<BatchVoted>,
 ) {
     if prefilter != PrefilterMode::On {
@@ -721,86 +666,16 @@ fn serve_lanes(
 /// Score one batch through the shared ensemble and pass it to
 /// aggregation. Returns `false` when aggregation has exited (time for
 /// the prediction thread to stop too).
-fn score_batch(predictor: &mut Predictor, job: BatchJob, vote_tx: &Sender<BatchVoted>) -> bool {
-    let mut attacks = Vec::with_capacity(job.items.len());
-    let epoch = predictor.predict(&job.rows, &mut attacks);
+fn score_batch(predictor: &mut Predictor, batch: LaneBatch, vote_tx: &Sender<BatchVoted>) -> bool {
+    let mut attacks = Vec::with_capacity(batch.items.len());
+    let epoch = predictor.predict(&batch.rows, &mut attacks);
     vote_tx
         .send(BatchVoted {
-            job,
+            batch,
             attacks,
             epoch,
         })
         .is_ok()
-}
-
-/// Copy a voted batch's labeled rows toward the shadow trainer over the
-/// bounded sample channel. Only rows with ground truth ride along; an
-/// unlabeled live stream feeds the trainer nothing.
-fn feed_trainer(
-    batch: &BatchVoted,
-    dim: usize,
-    tx: &Sender<SampleBatch>,
-    samples_fed: &mut u64,
-    samples_shed: &mut u64,
-) {
-    let labeled_rows = batch
-        .job
-        .items
-        .iter()
-        .filter(|(_, _, truth)| truth.is_some())
-        .count();
-    if labeled_rows == 0 {
-        return;
-    }
-    // amlint: cold -- adaptation feed: allocates only when --adapt is on
-    let mut rows = Vec::with_capacity(labeled_rows * dim);
-    let mut labels = Vec::with_capacity(labeled_rows);
-    for (&(_, _, truth), row) in batch.job.items.iter().zip(batch.job.rows.chunks_exact(dim)) {
-        if let Some(class) = truth {
-            // amlint: cold -- adaptation feed: allocates only when --adapt is on
-            rows.extend_from_slice(row);
-            labels.push(class.label());
-        }
-    }
-    let n = labels.len() as u64;
-    match tx.try_send(SampleBatch { rows, labels }) {
-        Ok(()) => *samples_fed += n,
-        Err(_) => *samples_shed += n,
-    }
-}
-
-/// One telemetry event (either backend) through the shared Processor
-/// stage, batching judged updates into their triage lane. A deferred
-/// update's feature row migrates from the main batch (where
-/// `Processor::ingest` appended it) into the defer batch, keeping the
-/// two row buffers parallel to their item lists. The event's ground
-/// truth, if any, rides along with the judged item so aggregation can
-/// score the verdict.
-// amlint: hot
-fn ingest_event<C: Clock>(
-    processor: &mut Processor<C>,
-    event: &LabeledEvent,
-    batch: &mut BatchJob,
-    defer: &mut BatchJob,
-    dim: usize,
-) {
-    if let Ingest::Judged(judged) = processor.ingest(&event.event, &mut batch.rows) {
-        if judged.lane == TriageVerdict::Defer {
-            let split = batch.rows.len() - dim;
-            // amlint: cold -- BatchJob buffer sized for a full batch at creation
-            defer.rows.extend_from_slice(&batch.rows[split..]);
-            batch.rows.truncate(split);
-            defer
-                .items
-                // amlint: cold -- BatchJob buffer sized for a full batch at creation
-                .push((judged.key, judged.registered_ns, event.truth));
-        } else {
-            batch
-                .items
-                // amlint: cold -- BatchJob buffer sized for a full batch at creation
-                .push((judged.key, judged.registered_ns, event.truth));
-        }
-    }
 }
 
 /// Consecutive zero-in-flight observations [`RunHandle::drain`] requires
@@ -814,20 +689,16 @@ const DRAIN_POLL: Duration = Duration::from_micros(400);
 /// [`ThreadedPipeline::start`].
 pub struct RunHandle {
     collection: JoinHandle<u64>,
-    /// Each returns (flows created, triage tallies with its shed).
-    processors: Vec<JoinHandle<(u64, TriageStats)>>,
-    /// Returns (rows scored, rows escalated to the MLP, trees walked).
-    prediction: JoinHandle<(u64, u64, u64)>,
-    aggregator: JoinHandle<(VerdictCounts, RecallCounts, f64, f64, u64, u64)>,
+    processors: Vec<JoinHandle<Processor<WallClock>>>,
+    prediction: JoinHandle<Predictor>,
+    aggregator: JoinHandle<Aggregator>,
     /// The shadow-trainer thread, present when adaptation is enabled.
-    /// Returns (drift events, retrains published).
-    adaptation: Option<JoinHandle<(u64, u64)>>,
+    adaptation: Option<JoinHandle<AdaptStats>>,
     /// The run's model handle, for stamping final-epoch stats and for
     /// callers that want to publish into the live run.
     handle: EpochHandle,
     stop: Arc<AtomicBool>,
     in_flight: Arc<AtomicUsize>,
-    done: Arc<AtomicBool>,
 }
 
 impl RunHandle {
@@ -840,12 +711,12 @@ impl RunHandle {
 
     /// Block until everything ingested so far has been fully processed
     /// (its verdict stored) — the pipeline stays running and the source
-    /// stays open. Returns immediately if the pipeline already shut
-    /// down.
+    /// stays open. Returns as soon as the aggregator thread has finished
+    /// (the pipeline shut down, or that thread panicked).
     pub fn drain(&self) {
         let mut stable = 0u32;
         while stable < DRAIN_STABLE_POLLS {
-            if self.done.load(Ordering::Acquire) {
+            if self.aggregator.is_finished() {
                 return;
             }
             if self.in_flight.load(Ordering::Acquire) == 0 {
@@ -871,9 +742,9 @@ impl RunHandle {
         let mut shard_err = None;
         for shard in self.processors {
             match shard.join() {
-                Ok((created, stats)) => {
-                    flows_created += created;
-                    triage.merge(&stats);
+                Ok(processor) => {
+                    flows_created += processor.created();
+                    triage.merge(&processor.triage_stats());
                 }
                 Err(_) => {
                     shard_err = Some(RuntimeError {
@@ -891,19 +762,19 @@ impl RunHandle {
         // The aggregator dropping its sample sender is what disconnects
         // the trainer's receiver, so this join comes after the
         // aggregator's and cannot hang.
-        let adapt_out = match self.adaptation {
-            Some(worker) => Some(worker.join().map_err(|_| RuntimeError {
+        let adapt = match self.adaptation {
+            Some(worker) => worker.join().map_err(|_| RuntimeError {
                 module: "adaptation",
-            })?),
-            None => None,
+            })?,
+            None => AdaptStats::default(),
         };
         let events_in = col?;
         if let Some(err) = shard_err {
             return Err(err);
         }
-        let (rows_scored, rows_escalated, trees_walked) = pred?;
-        let (counts, labeled, mean_latency_us, max_latency_us, samples_fed, samples_shed) = agg?;
-        let (drift_events, retrains) = adapt_out.unwrap_or((0, 0));
+        let predictor = pred?;
+        let agg = agg?;
+        let counts = agg.counts();
 
         Ok(ThreadedRunStats {
             events_in,
@@ -912,20 +783,18 @@ impl RunHandle {
             attack_verdicts: counts.attacks,
             normal_verdicts: counts.normals,
             pending_verdicts: counts.pendings,
-            labeled,
+            labeled: agg.labeled(),
             adapt: AdaptStats {
-                samples_fed,
-                samples_shed,
-                drift_events,
-                retrains,
+                samples_shed: agg.trainer_shed(),
                 final_epoch: self.handle.current_epoch(),
+                ..adapt
             },
             triage,
-            rows_scored,
-            rows_escalated,
-            trees_walked,
-            mean_latency_us,
-            max_latency_us,
+            rows_scored: predictor.rows_scored(),
+            rows_escalated: predictor.rows_escalated(),
+            trees_walked: predictor.trees_walked(),
+            mean_latency_us: agg.mean_latency_us(),
+            max_latency_us: agg.max_latency_us(),
         })
     }
 }
@@ -938,7 +807,7 @@ mod tests {
     use amlight_features::FeatureSet;
     use amlight_int::{HopMetadata, InstructionSet, TelemetryReport};
     use amlight_ml::MlpConfig;
-    use amlight_net::{Protocol, TrafficClass};
+    use amlight_net::{FlowKey, Protocol, TrafficClass};
     use std::net::Ipv4Addr;
 
     fn report(port: u16, t_ns: u64, len: u16, qocc: u32) -> TelemetryReport {
@@ -1277,6 +1146,12 @@ mod tests {
         // The benign step tripped the detector and a retrained bundle
         // was actually published into the live run.
         assert!(stats.adapt.samples_fed > 0, "aggregator fed the trainer");
+        // Every labeled row was either fed to the trainer or shed.
+        assert_eq!(
+            stats.adapt.samples_fed + stats.adapt.samples_shed,
+            stats.labeled.labeled_updates()
+        );
+        assert_eq!(stats.labeled.labeled_updates(), stats.predictions);
         assert!(stats.adapt.drift_events >= 1, "benign step must trip");
         assert!(stats.adapt.retrains >= 1, "drift flag must retrain");
         assert_eq!(
